@@ -31,22 +31,18 @@
  * else in the JSON (cycles, insts) is deterministic.
  */
 
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "bench/bench_util.hh"
 #include "common/hostinfo.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "log/result_log.hh"
 #include "triage/jsonio.hh"
 #include "triage/result_json.hh"
 
@@ -85,8 +81,7 @@ engineTweak(const std::string &engine)
  * Best-of-kReps serial cells/sec; fills *result from the first rep.
  * Every rep's wall latency (ms) is appended to *latenciesMs when
  * given — the sample set behind the p50/p95/p99 per-cell latency
- * figures (the straggler-detection threshold the serve fabric's
- * hedging derives comes from exactly this distribution).
+ * figures.
  */
 double
 timeCell(const RunSpec &spec, sim::RunResult *result,
@@ -253,92 +248,6 @@ compareBaseline(const BenchArgs &args,
     return 0;
 }
 
-/** Journal write rates: group-commit log vs the retired per-record
- *  durable-rewrite discipline. */
-struct JournalBench
-{
-    double recordsPerSec = 0.0;      ///< group-commit result log
-    double fsyncRecordsPerSec = 0.0; ///< per-record durable rewrite
-    double speedup = 0.0;
-};
-
-/**
- * Measure journal throughput with a representative record payload.
- * The baseline reimplements the PR-5 journal discipline — every
- * append rewrote the whole JSONL file durably (temp file + fsync +
- * rename + directory fsync) — time-boxed to ~0.4s. The group-commit
- * side appends the same payload from 4 producer threads and gates on
- * flush(), so both sides end fully durable.
- */
-JournalBench
-journalBench(const std::string &payload)
-{
-    namespace fs = std::filesystem;
-    using std::chrono::steady_clock;
-    JournalBench out;
-    fs::path dir =
-        fs::temp_directory_path() /
-        ("edgesim_bench_journal_" + std::to_string(::getpid()));
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        warn("journal bench: cannot create %s", dir.string().c_str());
-        return out;
-    }
-
-    {
-        std::string file = (dir / "fsync.journal.jsonl").string();
-        std::string content =
-            "{\"format\":\"edgesim-journal\",\"version\":1}\n";
-        auto t0 = steady_clock::now();
-        std::uint64_t n = 0;
-        while (secondsOf(steady_clock::now() - t0) < 0.4) {
-            content += payload;
-            content += '\n';
-            if (!triage::writeFileDurable(file, content, nullptr))
-                break;
-            ++n;
-        }
-        double secs = secondsOf(steady_clock::now() - t0);
-        out.fsyncRecordsPerSec =
-            secs > 0.0 ? static_cast<double>(n) / secs : 0.0;
-    }
-
-    {
-        log::ResultLog lg;
-        std::string err;
-        if (!lg.open((dir / "group.journal").string(), "bench",
-                     log::LogOptions{}, 1, &err)) {
-            warn("journal bench: %s", err.c_str());
-        } else {
-            constexpr unsigned kProducers = 4;
-            constexpr std::uint64_t kPer = 2000;
-            auto t0 = steady_clock::now();
-            std::vector<std::thread> producers;
-            for (unsigned t = 0; t < kProducers; ++t)
-                producers.emplace_back([&lg, &payload, t] {
-                    for (std::uint64_t i = 0; i < kPer; ++i)
-                        lg.append(t * kPer + i, payload);
-                });
-            for (std::thread &t : producers)
-                t.join();
-            lg.flush();
-            double secs = secondsOf(steady_clock::now() - t0);
-            out.recordsPerSec =
-                secs > 0.0
-                    ? static_cast<double>(kProducers * kPer) / secs
-                    : 0.0;
-            lg.close();
-        }
-    }
-
-    fs::remove_all(dir, ec);
-    out.speedup = out.fsyncRecordsPerSec > 0.0
-                      ? out.recordsPerSec / out.fsyncRecordsPerSec
-                      : 0.0;
-    return out;
-}
-
 } // namespace
 
 int
@@ -427,9 +336,7 @@ main(int argc, char **argv)
                           r.latMs.end());
     }
     double gm = geomean(per_cell);
-    // Per-cell latency distribution across the whole matrix: the
-    // numbers a straggler-hedging threshold (serve --hedge-after-ms,
-    // auto mode = 2 x observed p95) should be read against.
+    // Per-cell latency distribution across the whole matrix.
     double lat_p50 = percentile(all_lat_ms, 50.0);
     double lat_p95 = percentile(all_lat_ms, 95.0);
     double lat_p99 = percentile(all_lat_ms, 99.0);
@@ -474,21 +381,6 @@ main(int argc, char **argv)
                 "(%zu cells, -j %u, %.2fs)\n",
                 suite_rate, pooled.size(), threads, pooled_secs);
 
-    // Journal throughput: a representative record (the first
-    // measured cell's full RunResult) through the group-commit
-    // result log vs the retired per-record durable rewrite.
-    JournalBench jb;
-    if (!rates.empty()) {
-        std::string payload =
-            triage::resultToJson(rates[0].result).dumpCompact();
-        jb = journalBench(payload);
-        std::printf("journal rate        : %8.1f records/sec "
-                    "group-commit vs %.1f per-record-fsync "
-                    "(%.1fx, %zu-byte records)\n",
-                    jb.recordsPerSec, jb.fsyncRecordsPerSec,
-                    jb.speedup, payload.size());
-    }
-
     std::string json_path =
         args.jsonPath.empty() ? "BENCH_throughput.json" : args.jsonPath;
     std::FILE *f = std::fopen(json_path.c_str(), "w");
@@ -521,12 +413,8 @@ main(int argc, char **argv)
                      "  \"suite_cells_per_sec\": %.3f,\n"
                      "  \"suite_cells\": %zu,\n"
                      "  \"suite_wall_seconds\": %.3f,\n"
-                     "  \"journal_records_per_sec\": %.3f,\n"
-                     "  \"journal_fsync_records_per_sec\": %.3f,\n"
-                     "  \"journal_speedup\": %.3f,\n"
                      "  \"cells\": [\n",
-                     suite_rate, pooled.size(), pooled_secs,
-                     jb.recordsPerSec, jb.fsyncRecordsPerSec, jb.speedup);
+                     suite_rate, pooled.size(), pooled_secs);
         for (std::size_t i = 0; i < rates.size(); ++i) {
             const CellRate &r = rates[i];
             std::fprintf(

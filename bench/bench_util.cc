@@ -1,5 +1,6 @@
 #include "bench/bench_util.hh"
 
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -14,7 +15,6 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/thread_pool.hh"
-#include "serve/fabric.hh"
 #include "sim/run_pool.hh"
 #include "super/supervisor.hh"
 #include "super/worker.hh"
@@ -62,10 +62,10 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
         };
         if (arg == "-j") {
             args.threads =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+                static_cast<unsigned>(parseU64(arg, next(), UINT_MAX));
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
             args.threads = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 2, nullptr, 10));
+                parseU64("-j", arg.substr(2), UINT_MAX));
         } else if (arg == "--json") {
             args.jsonPath = next();
         } else if (arg == "--repro-dir") {
@@ -79,8 +79,7 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
             args.resumePath = next();
             args.isolate = true;
         } else if (arg == "--cell-timeout-ms") {
-            args.cellTimeoutMs =
-                std::strtoull(next(), nullptr, 10);
+            args.cellTimeoutMs = parseU64(arg, next());
         } else if (arg == "--engine") {
             args.engine = next();
             fatal_if(args.engine != "tick" && args.engine != "event" &&
@@ -89,29 +88,24 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
         } else if (arg == "--baseline") {
             args.baselinePath = next();
         } else if (arg == "--max-regress") {
-            args.maxRegressPct = std::strtod(next(), nullptr);
-        } else if (arg == "--agents") {
-            args.agentsPort = static_cast<std::uint16_t>(
-                std::strtoul(next(), nullptr, 10));
-            args.agents = true;
-            args.isolate = true;
+            args.maxRegressPct = parseDouble(arg, next());
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [iterations] [-j N] [--json path] "
                         "[--repro-dir dir] [--isolate] "
                         "[--journal-dir dir] [--resume journal] "
-                        "[--cell-timeout-ms N] [--agents port] "
+                        "[--cell-timeout-ms N] "
                         "[--engine tick|event|both] "
                         "[--baseline json] [--max-regress pct]\n",
                         argv[0]);
             std::exit(0);
         } else if (!arg.empty() && arg[0] != '-') {
-            args.iterations = std::strtoull(arg.c_str(), nullptr, 10);
+            args.iterations = parseU64("iterations", arg);
         } else {
             fatal("unknown bench argument '%s' "
                   "(usage: [iterations] [-j N] [--json path] "
                   "[--repro-dir dir] [--isolate] [--journal-dir dir] "
                   "[--resume journal] [--cell-timeout-ms N] "
-                  "[--agents port] [--engine tick|event|both] "
+                  "[--engine tick|event|both] "
                   "[--baseline json] [--max-regress pct])",
                   arg.c_str());
         }
@@ -174,8 +168,7 @@ runSpecs(const std::vector<RunSpec> &specs, unsigned threads)
 namespace {
 
 /** The supervised grid: every spec as a sandboxed worker cell, run by
- *  the local fork/exec supervisor or — under --agents — by a campaign
- *  fabric that leases cells to remote executors. */
+ *  the fork/exec supervisor. */
 std::vector<RunRow>
 runSpecsIsolated(const std::vector<RunSpec> &specs,
                  const BenchArgs &args, const std::string &bench_name)
@@ -190,34 +183,12 @@ runSpecsIsolated(const std::vector<RunSpec> &specs,
 
     // Repro capture stays in finishBench so isolated and in-process
     // grids produce their .repro.json files through one code path.
-    std::unique_ptr<super::Supervisor> local;
-    std::unique_ptr<serve::Fabric> fabric;
-    super::CellRunner *runner = nullptr;
-    if (args.agents) {
-        serve::FabricOptions fo;
-        fo.listenPort = args.agentsPort;
-        fo.localJobs = args.threads;
-        fo.cellTimeoutMs = args.cellTimeoutMs;
-        fo.journalPath = journal_path;
-        fo.resume = !args.resumePath.empty();
-        fabric = std::make_unique<serve::Fabric>(fo);
-        std::string err;
-        fatal_if(!fabric->start(&err), "%s: --agents: %s",
-                 bench_name.c_str(), err.c_str());
-        inform("%s: fabric coordinator on port %u (cells lease to "
-               "connected agents; none connected -> local workers)",
-               bench_name.c_str(), fabric->port());
-        runner = fabric.get();
-    } else {
-        super::SupervisorOptions so;
-        so.jobs = args.threads;
-        so.cellTimeoutMs = args.cellTimeoutMs;
-        so.journalPath = journal_path;
-        so.resume = !args.resumePath.empty();
-        local = std::make_unique<super::Supervisor>(so);
-        runner = local.get();
-    }
-    super::CellRunner &sup = *runner;
+    super::SupervisorOptions so;
+    so.jobs = args.threads;
+    so.cellTimeoutMs = args.cellTimeoutMs;
+    so.journalPath = journal_path;
+    so.resume = !args.resumePath.empty();
+    super::Supervisor sup(std::move(so));
 
     // One program hash per distinct (kernel, iterations, seed), same
     // sharing key as the in-process pool.

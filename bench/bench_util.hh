@@ -110,16 +110,6 @@ struct BenchArgs
     std::string resumePath;      ///< --resume <journal>
     std::uint64_t cellTimeoutMs = 0; ///< --cell-timeout-ms
     /**
-     * Campaign-fabric pass-through (--agents <port>, implies
-     * --isolate): the bench hosts a serve::Fabric coordinator on this
-     * port and leases grid cells to any `edgesim serve --agent`
-     * executors that connect; with none connected the grid degrades
-     * to the local fork/exec supervisor. Results are byte-identical
-     * either way. 0 = plain local --isolate.
-     */
-    std::uint16_t agentsPort = 0;
-    bool agents = false;         ///< --agents was given (port may be 0)
-    /**
      * Cycle-loop engine the bench should run (--engine). "tick" or
      * "event" select one; bench_throughput also accepts "both" and
      * then measures the tick/event speedup per cell.

@@ -12,9 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/rng.hh"
+#include "common/strutil.hh"
 #include "compiler/builder.hh"
 #include "sim/simulator.hh"
 
@@ -86,7 +86,7 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t rows =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000;
+        argc > 1 ? parseU64("iterations", argv[1]) : 2000;
 
     std::printf("in-memory aggregation: GROUP BY over %llu rows, "
                 "%u groups (skewed)\n\n",

@@ -12,8 +12,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/strutil.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -25,7 +25,7 @@ main(int argc, char **argv)
     std::string kernel = argc > 1 ? argv[1] : "bzip2ish";
     wl::KernelParams kp;
     kp.iterations =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2000;
+        argc > 2 ? parseU64("iterations", argv[2]) : 2000;
 
     std::printf("workload: %s (%llu iterations)\n", kernel.c_str(),
                 static_cast<unsigned long long>(kp.iterations));

@@ -10,11 +10,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/strutil.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -25,7 +25,7 @@ main(int argc, char **argv)
 {
     wl::KernelParams kp;
     kp.iterations =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1500;
+        argc > 1 ? parseU64("iterations", argv[1]) : 1500;
 
     struct Variant
     {

@@ -19,10 +19,7 @@ reasonName(SimError::Reason reason)
       case SimError::Reason::WorkerKilled: return "worker-killed";
       case SimError::Reason::WorkerTimeout: return "worker-timeout";
       case SimError::Reason::WorkerProtocol: return "worker-protocol";
-      case SimError::Reason::AgentLost: return "agent-lost";
-      case SimError::Reason::AgentCorrupt: return "agent-corrupt";
       case SimError::Reason::ProvenanceMismatch: return "provenance-mismatch";
-      case SimError::Reason::FabricSimViolation: return "fabric-sim-violation";
     }
     return "?";
 }
@@ -38,10 +35,7 @@ reasonByName(const std::string &name)
           SimError::Reason::WorkerKilled,
           SimError::Reason::WorkerTimeout,
           SimError::Reason::WorkerProtocol,
-          SimError::Reason::AgentLost,
-          SimError::Reason::AgentCorrupt,
-          SimError::Reason::ProvenanceMismatch,
-          SimError::Reason::FabricSimViolation}) {
+          SimError::Reason::ProvenanceMismatch}) {
         if (name == reasonName(r))
             return r;
     }
@@ -62,10 +56,7 @@ exitCodeFor(SimError::Reason reason)
       case SimError::Reason::WorkerKilled: return 16;
       case SimError::Reason::WorkerTimeout: return 17;
       case SimError::Reason::WorkerProtocol: return 18;
-      case SimError::Reason::AgentLost: return 19;
       case SimError::Reason::ProvenanceMismatch: return 20;
-      case SimError::Reason::AgentCorrupt: return 21;
-      case SimError::Reason::FabricSimViolation: return 22;
     }
     return 1;
 }
@@ -74,9 +65,7 @@ bool
 isTransient(SimError::Reason reason)
 {
     return reason == SimError::Reason::HostDeadline ||
-           reason == SimError::Reason::WorkerTimeout ||
-           reason == SimError::Reason::AgentLost ||
-           reason == SimError::Reason::AgentCorrupt;
+           reason == SimError::Reason::WorkerTimeout;
 }
 
 bool
@@ -87,8 +76,6 @@ isWorkerFailure(SimError::Reason reason)
       case SimError::Reason::WorkerKilled:
       case SimError::Reason::WorkerTimeout:
       case SimError::Reason::WorkerProtocol:
-      case SimError::Reason::AgentLost:
-      case SimError::Reason::AgentCorrupt:
         return true;
       default:
         return false;

@@ -40,33 +40,11 @@ struct SimError
         WorkerTimeout,  ///< supervisor deadline or RLIMIT_CPU kill
         WorkerProtocol, ///< child exited without a valid result
 
-        // --- campaign-fabric (multi-host) kind ---------------------
-        // Produced by the serve coordinator (src/serve/) when every
-        // lease on a cell was lost to dead/partitioned agents and the
-        // reassignment budget ran out. Transient: a resumed or
-        // re-run campaign re-executes the cell.
-        AgentLost, ///< all leases lost (agent death / partition)
-        // Produced by the coordinator's result-integrity audit when a
-        // duplicate execution of a Done cell diverged and no majority
-        // could be established (or the divergence itself must be
-        // surfaced). The agent that produced the minority bytes is
-        // quarantined. Transient: a re-run on honest executors
-        // produces the correct result.
-        AgentCorrupt, ///< audit divergence (bit-flipping executor)
-
-        // --- durable-result-log kind -------------------------------
+        // --- campaign-journal kind ----------------------------------
         // Produced on `--resume --strict-provenance` when the journal
         // was written by a different build (git revision, build type
         // or sanitizer mix) than the one resuming it.
         ProvenanceMismatch, ///< journal build line != running binary
-
-        // --- fabric-simulation kind --------------------------------
-        // Produced by the deterministic fabric-simulation explorer
-        // (`edgesim serve --simulate`) when a simulated world tripped
-        // a fabric invariant (cell lost, double completion, report
-        // divergence, leaked lease, false quarantine, starvation).
-        // The failing seed's `.fabsim.json` capture replays it.
-        FabricSimViolation, ///< simulated fabric invariant tripped
     };
 
     Reason reason = Reason::None;
@@ -93,7 +71,9 @@ SimError::Reason reasonByName(const std::string &name);
  * The documented process exit status for each failure kind (see
  * docs/PROTOCOL.md, "Failure triage"): 0 for a clean run, then one
  * distinct code per SimError::Reason so scripts and CI can branch on
- * WHY a run failed without parsing stderr.
+ * WHY a run failed without parsing stderr. Codes 19, 21 and 22 are
+ * retired (they named failures of the removed multi-host campaign
+ * fabric) and are never reused.
  */
 int exitCodeFor(SimError::Reason reason);
 

@@ -1,14 +1,17 @@
 /**
  * @file
- * Small string helpers: printf-style formatting into std::string and
- * a few parsing/joining utilities used by stats dumping and the
- * bench harnesses.
+ * Small string helpers: printf-style formatting into std::string, a
+ * few joining utilities used by stats dumping and the bench
+ * harnesses, and the strict number parsers every numeric
+ * command-line flag goes through.
  */
 
 #ifndef EDGE_COMMON_STRUTIL_HH
 #define EDGE_COMMON_STRUTIL_HH
 
 #include <cstdarg>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,22 @@ std::string padLeft(const std::string &s, std::size_t width);
 
 /** Right-pad (left-align) a string to the given width with spaces. */
 std::string padRight(const std::string &s, std::size_t width);
+
+/**
+ * Parse the whole of `text` as the decimal value of command-line flag
+ * `flag`. fatal() naming the flag on an empty value, a sign or other
+ * non-digit, trailing characters, or a value above `max`.
+ */
+std::uint64_t
+parseU64(const std::string &flag, const std::string &text,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * Parse the whole of `text` as the non-negative, finite decimal
+ * number of flag `flag` ("25", "0.5", "1e3"); fatal() naming the flag
+ * otherwise.
+ */
+double parseDouble(const std::string &flag, const std::string &text);
 
 } // namespace edge
 

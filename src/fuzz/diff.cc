@@ -56,6 +56,7 @@ classify(const sim::RunResult &result)
         // crash bucket, with the Worker* reason carrying the detail.
         return Outcome::Crash;
       case Reason::None:
+      case Reason::ProvenanceMismatch: // a CLI refusal, never a run
         break;
     }
     if (!result.halted)

@@ -5,7 +5,7 @@ namespace edge::super {
 sim::ChaosSweepReport
 chaosSweepIsolated(const sim::ChaosSweepParams &params,
                    const triage::ProgramRef &program,
-                   CellRunner &runner, bool *interrupted)
+                   Supervisor &runner, bool *interrupted)
 {
     std::vector<sim::SweepCell> grid = sim::sweepCells(params);
 
@@ -50,7 +50,7 @@ chaosSweepIsolated(const sim::ChaosSweepParams &params,
 
 std::function<std::vector<std::optional<sim::RunResult>>(
     const std::vector<sim::RunJob> &)>
-fuzzBatchRunner(CellRunner &runner)
+fuzzBatchRunner(Supervisor &runner)
 {
     return [&runner](const std::vector<sim::RunJob> &jobs) {
         std::vector<CellSpec> cells;

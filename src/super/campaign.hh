@@ -28,17 +28,16 @@ namespace edge::super {
 sim::ChaosSweepReport
 chaosSweepIsolated(const sim::ChaosSweepParams &params,
                    const triage::ProgramRef &program,
-                   CellRunner &runner, bool *interrupted = nullptr);
+                   Supervisor &runner, bool *interrupted = nullptr);
 
 /**
  * Batch executor for fuzz::FuzzOptions::batchRunner: every RunJob
  * becomes a CellSpec with the fuzz program embedded, run under
- * `runner` — a local fork/exec Supervisor or the multi-host serve
- * Fabric; `runner` must outlive the campaign.
+ * `runner`, which must outlive the campaign.
  */
 std::function<std::vector<std::optional<sim::RunResult>>(
     const std::vector<sim::RunJob> &)>
-fuzzBatchRunner(CellRunner &runner);
+fuzzBatchRunner(Supervisor &runner);
 
 } // namespace edge::super
 

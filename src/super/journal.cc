@@ -1,17 +1,17 @@
 #include "super/journal.hh"
 
-#include <algorithm>
-#include <cstdio>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "common/build_info.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/strutil.hh"
-#include "common/thread_pool.hh"
 #include "triage/result_json.hh"
 
 namespace edge::super {
@@ -29,14 +29,6 @@ recordToJson(const JournalRecord &rec)
     o.set("final", JsonValue::boolean(rec.final));
     if (!rec.reproPath.empty())
         o.set("repro", JsonValue::str(rec.reproPath));
-    if (!rec.agent.empty())
-        o.set("agent", JsonValue::str(rec.agent));
-    if (rec.lease != 0)
-        o.set("lease", JsonValue::u64(rec.lease));
-    if (rec.attempt > 1)
-        o.set("attempt", JsonValue::u64(rec.attempt));
-    if (!rec.audit.empty())
-        o.set("audit", JsonValue::str(rec.audit));
     o.set("result", triage::resultToJson(rec.result));
     // The checksum covers the serialized record exactly as written
     // above — computed last, verified by stripping it again on load.
@@ -46,7 +38,9 @@ recordToJson(const JournalRecord &rec)
 
 /**
  * Verify a record's `crc` against the rest of the record. Records
- * without one (older builds) pass vacuously.
+ * without one (older builds) pass vacuously. The checksum covers the
+ * whole object, so records carrying fields this build no longer
+ * writes still verify.
  */
 bool
 checksumOk(const JsonValue &o)
@@ -71,20 +65,24 @@ recordFromJson(const JsonValue &o, JournalRecord *rec,
     rec->cell = o.getU64("cell");
     rec->final = o.getBool("final", true);
     rec->reproPath = o.getString("repro");
-    rec->agent = o.getString("agent");
-    rec->lease = o.getU64("lease");
-    rec->attempt = static_cast<unsigned>(o.getU64("attempt", 1));
-    rec->audit = o.getString("audit");
     return triage::resultFromJson(*o.get("result"), &rec->result, err);
 }
 
-/** The PR-5 JSONL journal parser, kept verbatim for migration and
- *  for loading journals written by older builds. */
 bool
-loadLegacy(const std::string &path, std::vector<JournalRecord> *out,
-           std::string *build_line, std::string *err)
+readJournal(const std::string &path, std::string *text, std::string *err)
 {
-    std::ifstream in(path);
+    if (fs::is_directory(path)) {
+        // Older builds wrote a group-commit segment log, a directory
+        // whose first segment is seg-000001.elog, at the journal path.
+        if (err)
+            *err = "journal '" + path + "': " +
+                   (fs::exists(fs::path(path) / "seg-000001.elog")
+                        ? "segment-log journal from an older build; "
+                          "start a fresh journal"
+                        : "is a directory, not a journal file");
+        return false;
+    }
+    std::ifstream in(path, std::ios::binary);
     if (!in) {
         if (err)
             *err = "journal '" + path + "': cannot open";
@@ -92,386 +90,200 @@ loadLegacy(const std::string &path, std::vector<JournalRecord> *out,
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
+    *text = buf.str();
+    return true;
+}
 
+/**
+ * Parse journal text. *valid receives the length of the accepted
+ * prefix: everything but a torn final line.
+ */
+bool
+parseJournal(const std::string &path, const std::string &text,
+             std::vector<JournalRecord> *out, std::string *build_line,
+             std::size_t *valid, std::string *err)
+{
     out->clear();
-    if (build_line)
-        build_line->clear();
+    build_line->clear();
+    *valid = 0;
+    auto fail = [&](const std::string &what) {
+        if (err)
+            *err = "journal '" + path + "': " + what;
+        return false;
+    };
 
+    bool header = false;
     std::size_t lineno = 0;
     std::size_t pos = 0;
     while (pos < text.size()) {
         std::size_t nl = text.find('\n', pos);
-        const bool lastAndUnterminated = nl == std::string::npos;
+        const bool last = nl == std::string::npos || nl + 1 == text.size();
         std::string line = text.substr(
-            pos, lastAndUnterminated ? std::string::npos : nl - pos);
-        pos = lastAndUnterminated ? text.size() : nl + 1;
+            pos, nl == std::string::npos ? std::string::npos : nl - pos);
+        const std::size_t next =
+            nl == std::string::npos ? text.size() : nl + 1;
         ++lineno;
-        if (line.empty())
+        if (line.empty()) {
+            pos = *valid = next;
             continue;
+        }
 
         JsonValue v;
         std::string perr;
         if (!JsonValue::parse(line, &v, &perr)) {
             // A torn FINAL line is the one legal corruption: an
-            // append that died mid-write on a filesystem without the
-            // durability guarantees. Everything before it is intact —
-            // keep it and move on.
-            if (pos >= text.size()) {
+            // append that died mid-write. Everything before it is
+            // intact — keep it and move on.
+            if (last && header) {
                 warn("journal '%s': dropping truncated final line "
                      "%zu (%s)",
                      path.c_str(), lineno, perr.c_str());
                 break;
             }
-            if (err)
-                *err = "journal '" + path + "': torn record at line " +
-                       std::to_string(lineno) + ": " + perr;
-            return false;
+            return fail(header ? "torn record at line " +
+                                     std::to_string(lineno) + ": " +
+                                     perr
+                               : "not an edgesim-journal file");
         }
 
-        if (lineno == 1) {
-            if (v.getString("format") != "edgesim-journal") {
-                if (err)
-                    *err = "journal '" + path +
-                           "': not an edgesim-journal file";
-                return false;
-            }
-            if (build_line)
-                *build_line = v.getString("build");
+        if (!header) {
+            if (v.getString("format") != "edgesim-journal")
+                return fail("not an edgesim-journal file");
+            *build_line = v.getString("build");
+            header = true;
+            pos = *valid = next;
             continue;
         }
 
         // A parseable record with a bad checksum is bit-level
         // corruption, not a torn append — reject it wherever it
         // sits, final line included.
-        if (!checksumOk(v)) {
-            if (err)
-                *err = "journal '" + path +
-                       "': record checksum mismatch at line " +
-                       std::to_string(lineno) +
-                       " (corrupt record)";
-            return false;
-        }
+        if (!checksumOk(v))
+            return fail("record checksum mismatch at line " +
+                        std::to_string(lineno) + " (corrupt record)");
 
         JournalRecord rec;
         std::string rerr;
         if (!recordFromJson(v, &rec, &rerr)) {
-            if (pos >= text.size()) {
+            if (last) {
                 warn("journal '%s': dropping malformed final line "
                      "%zu (%s)",
                      path.c_str(), lineno, rerr.c_str());
                 break;
             }
-            if (err)
-                *err = "journal '" + path + "': line " +
-                       std::to_string(lineno) + ": " + rerr;
-            return false;
+            return fail("line " + std::to_string(lineno) + ": " + rerr);
         }
         out->push_back(std::move(rec));
+        pos = *valid = next;
     }
-    if (lineno == 0) {
-        if (err)
-            *err = "journal '" + path + "': file is empty";
-        return false;
-    }
+    if (!header)
+        return fail(text.empty() ? "file is empty"
+                                 : "not an edgesim-journal file");
     return true;
 }
 
-/**
- * Decode raw log records into JournalRecords with redo workers
- * partitioned by cell-identity hash: worker w decodes exactly the
- * records with cell % workers == w, each into its original slot, so
- * the merged order — and therefore last-record-wins resolution — is
- * byte-identical at any worker count.
- */
 bool
-decodeRaw(const std::string &path, const std::vector<log::RawRecord> &raw,
-          unsigned threads, std::vector<JournalRecord> *out,
-          std::string *err)
+writeAll(int fd, const std::string &bytes, const std::string &path,
+         std::string *err)
 {
-    out->assign(raw.size(), JournalRecord{});
-    unsigned workers = threads == 0 ? ThreadPool::defaultThreads()
-                                    : threads;
-    workers = std::max<unsigned>(
-        1, std::min<unsigned>(workers,
-                              raw.empty() ? 1
-                                          : static_cast<unsigned>(
-                                                raw.size())));
-
-    // Deterministic error reporting: each worker remembers the
-    // lowest-LSN failure it saw; the overall lowest wins.
-    std::vector<std::pair<std::uint64_t, std::string>> errs(
-        workers, {~0ull, ""});
-    auto decodePartition = [&](std::size_t w) -> int {
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-            if (raw[i].cell % workers != w)
-                continue;
-            const std::uint64_t lsn = raw[i].lsn;
-            if (lsn >= errs[w].first)
-                continue;
-            JsonValue v;
-            std::string perr;
-            if (!JsonValue::parse(raw[i].payload, &v, &perr)) {
-                errs[w] = {lsn, strfmt("journal '%s': record at lsn "
-                                       "%llu is not valid JSON: %s",
-                                       path.c_str(),
-                                       (unsigned long long)lsn,
-                                       perr.c_str())};
-                continue;
-            }
-            if (!checksumOk(v)) {
-                errs[w] = {lsn, strfmt("journal '%s': record checksum "
-                                       "mismatch at lsn %llu (corrupt "
-                                       "record)",
-                                       path.c_str(),
-                                       (unsigned long long)lsn)};
-                continue;
-            }
-            JournalRecord rec;
-            std::string rerr;
-            if (!recordFromJson(v, &rec, &rerr)) {
-                errs[w] = {lsn, strfmt("journal '%s': record at lsn "
-                                       "%llu: %s",
-                                       path.c_str(),
-                                       (unsigned long long)lsn,
-                                       rerr.c_str())};
-                continue;
-            }
-            (*out)[i] = std::move(rec);
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            if (err)
+                *err = "journal '" + path +
+                       "': write failed: " + std::strerror(errno);
+            return false;
         }
-        return 0;
-    };
-
-    if (workers <= 1) {
-        decodePartition(0);
-    } else {
-        ThreadPool pool(workers);
-        parallelIndex(pool, workers, decodePartition);
-    }
-
-    std::pair<std::uint64_t, std::string> first{~0ull, ""};
-    for (const auto &e : errs)
-        if (e.first < first.first)
-            first = e;
-    if (!first.second.empty()) {
-        if (err)
-            *err = first.second;
-        return false;
+        off += static_cast<std::size_t>(n);
     }
     return true;
-}
-
-/** Read a legacy journal's header build line without a full parse. */
-std::string
-legacyBuildLine(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string line;
-    if (!in || !std::getline(in, line))
-        return "";
-    JsonValue v;
-    std::string perr;
-    if (!JsonValue::parse(line, &v, &perr))
-        return "";
-    if (v.getString("format") != "edgesim-journal")
-        return "";
-    return v.getString("build");
-}
-
-bool
-hasSegments(const std::string &dir)
-{
-    return fs::exists(fs::path(dir) / log::segmentFileName(1));
-}
-
-void
-announceRecovery(const std::string &path, const log::ReplayStats &st,
-                 const std::vector<JournalRecord> &records)
-{
-    std::set<std::uint64_t> cells;
-    for (const JournalRecord &rec : records)
-        cells.insert(rec.cell);
-    const std::size_t final = Journal::resumeIndex(records).size();
-    std::fprintf(stderr,
-                 "resume: scanned %llu record(s) in %llu block(s) "
-                 "across %zu segment(s) (%.1f KiB) in %.0f ms with %u "
-                 "worker(s)\n",
-                 (unsigned long long)st.records,
-                 (unsigned long long)st.blocks, st.segments,
-                 st.bytes / 1024.0, st.scanMillis, st.workers);
-    std::fprintf(stderr,
-                 "resume: %zu cell(s) recovered final, %zu will "
-                 "re-execute, %llu torn record(s) rejected\n",
-                 final, cells.size() - final,
-                 (unsigned long long)st.tornRecords);
-    std::fflush(stderr);
-}
-
-JsonValue
-recoveryMeta(const log::ReplayStats &st,
-             const std::vector<JournalRecord> &records)
-{
-    std::set<std::uint64_t> cells;
-    for (const JournalRecord &rec : records)
-        cells.insert(rec.cell);
-    const std::size_t final = Journal::resumeIndex(records).size();
-    JsonValue o = JsonValue::object();
-    o.set("meta", JsonValue::str("resume"));
-    o.set("build", JsonValue::str(buildInfoLine()));
-    o.set("records", JsonValue::u64(st.records));
-    o.set("blocks", JsonValue::u64(st.blocks));
-    o.set("segments", JsonValue::u64(st.segments));
-    o.set("torn_records", JsonValue::u64(st.tornRecords));
-    o.set("torn_bytes", JsonValue::u64(st.tornBytes));
-    o.set("workers", JsonValue::u64(st.workers));
-    o.set("cells_final", JsonValue::u64(final));
-    o.set("cells_reexecute", JsonValue::u64(cells.size() - final));
-    return o;
 }
 
 } // namespace
+
+Journal::~Journal()
+{
+    if (_fd >= 0)
+        ::close(_fd);
+}
 
 bool
 Journal::load(const std::string &path, std::vector<JournalRecord> *out,
               std::string *build_line, std::string *err)
 {
-    return load(path, 1, out, build_line, nullptr, err);
-}
-
-bool
-Journal::load(const std::string &path, unsigned threads,
-              std::vector<JournalRecord> *out, std::string *build_line,
-              log::ReplayStats *stats, std::string *err)
-{
-    if (fs::is_directory(path)) {
-        std::vector<log::RawRecord> raw;
-        if (!log::ResultLog::scan(path, threads, &raw, build_line,
-                                  stats, err))
-            return false;
-        if (stats && stats->tornBytes > 0)
-            warn("journal '%s': dropping torn tail (%llu byte(s), "
-                 "%llu record(s))",
-                 path.c_str(), (unsigned long long)stats->tornBytes,
-                 (unsigned long long)stats->tornRecords);
-        return decodeRaw(path, raw, threads, out, err);
-    }
-    if (!loadLegacy(path, out, build_line, err))
-        return false;
-    if (stats) {
-        *stats = log::ReplayStats{};
-        stats->segments = 1;
-        stats->records = out->size();
-        stats->workers = 1;
-    }
-    return true;
+    std::string text;
+    std::size_t valid = 0;
+    return readJournal(path, &text, err) &&
+           parseJournal(path, text, out, build_line, &valid, err);
 }
 
 bool
 Journal::open(const std::string &path, std::string *err)
 {
-    return open(path, JournalSetup{}, err);
-}
-
-bool
-Journal::migrateLegacy(const std::string &file, const JournalSetup &setup,
-                       std::string *err)
-{
-    std::vector<JournalRecord> records;
-    std::string legacyLine;
-    if (!loadLegacy(file, &records, &legacyLine, err))
-        return false;
-
-    // Keep the original as a backup. The rename also makes the
-    // migration idempotent: a crash before the re-append finishes
-    // leaves an empty/absent directory next to the .v1 file, and the
-    // next open retries from the backup.
-    const std::string backup = _path + ".v1";
-    if (file != backup) {
-        std::error_code ec;
-        fs::rename(file, backup, ec);
-        if (ec) {
-            if (err)
-                *err = "journal '" + _path +
-                       "': cannot move legacy journal aside (" +
-                       ec.message() + ")";
-            return false;
-        }
-    }
-
-    const std::string build =
-        legacyLine.empty() ? buildInfoLine() : legacyLine;
-    std::error_code ec;
-    fs::remove_all(_path, ec); // a half-migrated directory, if any
-    if (!_log.open(_path, build, setup.log, setup.resumeThreads, err))
-        return false;
-    for (const JournalRecord &rec : records)
-        _log.append(rec.cell, recordToJson(rec).dumpCompact());
-    if (!_log.flush()) {
-        if (err)
-            *err = "journal '" + _path + "': migration flush failed: " +
-                   _log.error();
-        return false;
-    }
-    warn("journal '%s': migrated legacy JSONL journal (%zu record(s); "
-         "original kept at %s)",
-         _path.c_str(), records.size(), backup.c_str());
-    _loaded = std::move(records);
-    _buildLine = build;
-    return true;
-}
-
-bool
-Journal::open(const std::string &path, const JournalSetup &setup,
-              std::string *err)
-{
+    if (_fd >= 0)
+        ::close(_fd);
+    _fd = -1;
     _path = path;
     _loaded.clear();
-    _buildLine.clear();
-    _lastLsn = 0;
-    _recovery = log::ReplayStats{};
 
-    if (fs::is_regular_file(path)) {
-        if (!migrateLegacy(path, setup, err))
+    // An empty file is what a crash between creation and the header
+    // write leaves behind: start it afresh.
+    std::error_code ec;
+    const bool existing = fs::exists(path, ec) &&
+                          (fs::is_directory(path, ec) ||
+                           fs::file_size(path, ec) > 0);
+    std::string text;
+    std::string build;
+    std::size_t valid = 0;
+    if (existing) {
+        if (!readJournal(path, &text, err) ||
+            !parseJournal(path, text, &_loaded, &build, &valid, err))
             return false;
-    } else if ((!fs::exists(path) ||
-                (fs::is_directory(path) && !hasSegments(path))) &&
-               fs::is_regular_file(path + ".v1")) {
-        // An interrupted migration: redo it from the backup.
-        if (!migrateLegacy(path + ".v1", setup, err))
-            return false;
-    } else {
-        if (!_log.open(path, buildInfoLine(), setup.log,
-                       setup.resumeThreads, err))
-            return false;
-        _recovery = _log.recoveryStats();
-        _buildLine = _log.buildLine().empty() ? buildInfoLine()
-                                              : _log.buildLine();
-        if (_recovery.tornBytes > 0)
-            warn("journal '%s': dropped torn tail (%llu byte(s), "
-                 "%llu record(s)) left by the crash",
-                 path.c_str(), (unsigned long long)_recovery.tornBytes,
-                 (unsigned long long)_recovery.tornRecords);
-        if (!decodeRaw(path, _log.loaded(), setup.resumeThreads,
-                       &_loaded, err))
-            return false;
+    } else if (fs::path(path).has_parent_path()) {
+        fs::create_directories(fs::path(path).parent_path(), ec);
     }
 
-    if (!_buildLine.empty()) {
-        std::string mismatch = buildMismatch(_buildLine);
+    _fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                 0644);
+    if (_fd < 0) {
+        if (err)
+            *err = "journal '" + path +
+                   "': cannot open for append: " + std::strerror(errno);
+        return false;
+    }
+
+    std::string pending;
+    if (!existing) {
+        JsonValue h = JsonValue::object();
+        h.set("format", JsonValue::str("edgesim-journal"));
+        h.set("version", JsonValue::u64(1));
+        h.set("build", JsonValue::str(buildInfoLine()));
+        pending = h.dumpCompact() + "\n";
+    } else {
+        // Cut a torn final line off so the next append starts a
+        // fresh line, and terminate a last line the crash left
+        // without its newline.
+        if (valid < text.size() && ::ftruncate(_fd, valid) != 0) {
+            if (err)
+                *err = "journal '" + path + "': cannot drop torn tail: " +
+                       std::strerror(errno);
+            return false;
+        }
+        if (text[valid - 1] != '\n')
+            pending = "\n";
+        const std::string mismatch = buildMismatch(build);
         if (!mismatch.empty())
             warn("journal '%s': written by a different build "
                  "(%s) — replayed results may not match this "
                  "binary",
                  path.c_str(), mismatch.c_str());
     }
-
-    if (setup.announceResume) {
-        announceRecovery(path, _recovery, _loaded);
-        // Stamp the recovery stats into the resumed log's header
-        // stream so the session's provenance records what was
-        // recovered and how.
-        _log.appendMeta(recoveryMeta(_recovery, _loaded).dumpCompact());
-    }
+    if (!pending.empty() &&
+        (!writeAll(_fd, pending, path, err) || !flush(err)))
+        return false;
     return true;
 }
 
@@ -491,56 +303,39 @@ Journal::resumeIndex(const std::vector<JournalRecord> &records)
 bool
 Journal::append(const JournalRecord &rec, std::string *err)
 {
-    if (_path.empty()) {
+    if (_fd < 0) {
         if (err)
             *err = "journal not open";
         return false;
     }
-    std::uint64_t lsn = _log.append(rec.cell,
-                                    recordToJson(rec).dumpCompact());
-    if (lsn == 0) {
-        if (err) {
-            std::string lerr = _log.error();
-            *err = lerr.empty() ? "journal log not accepting appends"
-                                : lerr;
-        }
-        return false;
-    }
-    _lastLsn = lsn;
-    return true;
+    return writeAll(_fd, recordToJson(rec).dumpCompact() + "\n", _path,
+                    err);
 }
 
 bool
 Journal::flush(std::string *err)
 {
-    if (_path.empty() || !_log.isOpen())
+    if (_fd < 0 || ::fdatasync(_fd) == 0)
         return true;
-    if (!_log.flush()) {
-        if (err) {
-            std::string lerr = _log.error();
-            *err = lerr.empty() ? "journal flush failed" : lerr;
-        }
-        return false;
-    }
-    return true;
+    if (err)
+        *err = "journal '" + _path +
+               "': fdatasync failed: " + std::strerror(errno);
+    return false;
 }
 
 bool
 Journal::provenanceMismatch(const std::string &path, std::string *desc)
 {
+    if (!fs::is_regular_file(path))
+        return false;
+    std::ifstream in(path);
     std::string line;
-    if (fs::is_directory(path)) {
-        std::string err;
-        if (!log::ResultLog::readBuildLine(path, &line, &err))
-            return false;
-    } else if (fs::is_regular_file(path)) {
-        line = legacyBuildLine(path);
-    } else {
+    JsonValue v;
+    std::string perr;
+    if (!std::getline(in, line) || !JsonValue::parse(line, &v, &perr) ||
+        v.getString("format") != "edgesim-journal")
         return false;
-    }
-    if (line.empty())
-        return false;
-    std::string m = buildMismatch(line);
+    const std::string m = buildMismatch(v.getString("build"));
     if (m.empty())
         return false;
     if (desc)

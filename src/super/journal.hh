@@ -1,23 +1,17 @@
 /**
  * @file
  * The campaign journal: the durable record of every completed cell of
- * a supervised campaign, now a thin adapter over the group-commit
- * result log (log::ResultLog). Records keep their lossless compact
- * JSON encoding — cell hash, `final` flag, the complete RunResult,
- * repro path and lease provenance, plus a record-level FNV-1a `crc` —
- * but instead of a per-record whole-file durable rewrite they are
- * framed into LSN-addressed, block-checksummed segments and fsynced
- * in batches by the log's flusher thread. `append()` therefore
- * returns before the record is durable; callers that acknowledge
- * completion gate on `durableLsn()` / `waitDurable()` / `flush()`.
+ * a supervised campaign, one append-only JSONL file. The first line
+ * is a header naming the format and the writing build:
  *
- * Legacy JSONL journals (the PR-5 format: header line + one JSON
- * record per line) still load, and `open()` migrates them in place:
- * the old file is kept as `<path>.v1` and its records are re-appended
- * into a fresh segment log at `<path>`, preserving the recorded build
- * provenance. The migration is idempotent — a crash between the
- * rename and the re-append is repaired on the next open from the
- * `.v1` backup.
+ *   {"format":"edgesim-journal","version":1,"build":"..."}
+ *
+ * and every further line is one compact record — cell hash, `final`
+ * flag, the complete RunResult, repro path — closed by an FNV-1a
+ * `crc` over the rest of the record. `append()` is one write() of one
+ * line on an O_APPEND descriptor; `flush()` is one fdatasync(). A
+ * record lost before its sync only means its cell re-runs on
+ * `--resume`.
  *
  * The `final` flag carries the resume semantics. Clean passes and
  * deterministic simulation failures are final: re-running them would
@@ -36,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "log/result_log.hh"
 #include "sim/simulator.hh"
 
 namespace edge::super {
@@ -51,67 +44,31 @@ struct JournalRecord
     sim::RunResult result;
     /** Captured .repro.json for a failing cell, if any. */
     std::string reproPath;
-
-    // --- lease provenance (campaign fabric; empty for local runs) --
-    /** Executor that produced the result ("" = local worker). */
-    std::string agent;
-    /** Fabric lease under which the cell ran (0 = none). */
-    std::uint64_t lease = 0;
-    /** Scheduling attempt that produced the result (1 = first). */
-    unsigned attempt = 1;
-    /** Result-integrity audit verdict ("" = not audited; "match",
-     *  "diverged:<agent>", "inconclusive", "unresolved"). */
-    std::string audit;
-};
-
-/** Knobs threaded from the CLI down into the result log. */
-struct JournalSetup
-{
-    log::LogOptions log;
-    /** Redo workers for the recovery scan + record decode (0 = one
-     *  per hardware thread). */
-    unsigned resumeThreads = 0;
-    /** Print recovery progress to stderr and stamp the recovery
-     *  stats into the log as a resume meta block. */
-    bool announceResume = false;
 };
 
 class Journal
 {
   public:
+    Journal() = default;
+    Journal(const Journal &) = delete;
+    Journal &operator=(const Journal &) = delete;
+    ~Journal();
+
     /**
-     * Open `path` for appending. An existing log directory is
-     * recovered first (that is the resume path) and a legacy JSONL
-     * journal file is migrated; a fresh log gets its segment header
+     * Open `path` for appending. An existing journal is loaded first
+     * (that is the resume path): a torn final line left by a crash
+     * is dropped with a warning and cut off the file, and a build
+     * mismatch is warned about. A new journal gets its header line
      * stamped with this build's provenance. Returns false (with
      * *err) on I/O or format errors.
      */
     bool open(const std::string &path, std::string *err);
-    bool open(const std::string &path, const JournalSetup &setup,
-              std::string *err);
 
-    /**
-     * Append one record to the group-commit log. Returns once the
-     * record is SEQUENCED (it has an LSN), not once it is durable —
-     * gate acknowledgement on durableLsn()/waitDurable()/flush().
-     */
+    /** Append one record as one line. Durable after the next flush(). */
     bool append(const JournalRecord &rec, std::string *err);
 
-    /** Ack LSN of the most recent append (0 = nothing appended). */
-    std::uint64_t lastLsn() const { return _lastLsn; }
-
-    /** Everything at or below this LSN is fsynced. */
-    std::uint64_t durableLsn() const { return _log.durableLsn(); }
-
-    /** Block until `lsn` is durable; false if the log failed. */
-    bool waitDurable(std::uint64_t lsn) { return _log.waitDurable(lsn); }
-
-    /** Block until every appended record is durable. */
+    /** fdatasync every record appended so far. */
     bool flush(std::string *err);
-
-    /** Has the log hit a sticky I/O failure? (durableLsn() will
-     *  never advance past the failure point.) */
-    bool logFailed() const { return _log.failed(); }
 
     /** Records loaded at open() time (earlier records first). */
     const std::vector<JournalRecord> &loaded() const
@@ -119,42 +76,30 @@ class Journal
         return _loaded;
     }
 
-    /** Build-provenance line of the journal header ("" if new). */
-    const std::string &buildLine() const { return _buildLine; }
-
-    /** What recovery saw at open() (zeroed for a fresh journal). */
-    const log::ReplayStats &recoveryStats() const { return _recovery; }
-
     const std::string &path() const { return _path; }
-    bool isOpen() const { return !_path.empty(); }
+    bool isOpen() const { return _fd >= 0; }
 
     /**
-     * Parse a journal — a segment-log directory (scanned with
-     * `threads` redo workers partitioned by cell hash; the result is
-     * independent of the worker count) or a legacy JSONL file. A
-     * torn tail left by a crash mid-append is dropped with a
-     * warning; corruption anywhere else (a bit-flipped block or
-     * record) is rejected with a structured error naming the segment
-     * and LSN (or line). Records are returned in append order; with
-     * duplicate cell hashes the LAST record wins — a resumed
+     * Parse a journal file. A torn final line left by a crash
+     * mid-append is dropped with a warning; anything else — a
+     * record whose `crc` does not match (on any line, the last
+     * included), a malformed line before the last, a file that is
+     * not an edgesim journal, or a segment-log directory written by
+     * an older build — is rejected with a structured error naming
+     * the path (and line). Records are returned in append order;
+     * with duplicate cell hashes the LAST record wins — a resumed
      * campaign appends the re-execution after the worker-death
-     * record it supersedes.
+     * record it supersedes. *build_line receives the header's build.
      */
     static bool load(const std::string &path,
                      std::vector<JournalRecord> *out,
                      std::string *build_line, std::string *err);
-    static bool load(const std::string &path, unsigned threads,
-                     std::vector<JournalRecord> *out,
-                     std::string *build_line, log::ReplayStats *stats,
-                     std::string *err);
 
     /**
      * The resume index over loaded records: last record per cell
      * hash wins, and only cells whose LAST record is final replay —
-     * a non-final record (worker death, lost lease) erases any
-     * earlier final one, so `--resume` re-executes exactly those
-     * cells. Shared by the Supervisor and the serve Fabric so both
-     * runners resume with identical semantics.
+     * a non-final record (worker death) erases any earlier final
+     * one, so `--resume` re-executes exactly those cells.
      */
     static std::map<std::uint64_t, const JournalRecord *>
     resumeIndex(const std::vector<JournalRecord> &records);
@@ -168,15 +113,9 @@ class Journal
                                    std::string *desc);
 
   private:
-    bool migrateLegacy(const std::string &file, const JournalSetup &setup,
-                       std::string *err);
-
     std::string _path;
-    std::string _buildLine;
     std::vector<JournalRecord> _loaded;
-    log::ResultLog _log;
-    std::uint64_t _lastLsn = 0;
-    log::ReplayStats _recovery;
+    int _fd = -1;
 };
 
 } // namespace edge::super

@@ -104,6 +104,13 @@ Supervisor::Supervisor(SupervisorOptions opts) : _opts(std::move(opts))
         unsigned hw = std::thread::hardware_concurrency();
         _opts.jobs = hw ? hw : 1;
     }
+    std::string err;
+    if (!_opts.journalPath.empty() &&
+        !_journal.open(_opts.journalPath, &err)) {
+        fatal_if(_opts.resume, "--resume: %s", err.c_str());
+        warn("supervisor: %s — continuing without a journal",
+             err.c_str());
+    }
 }
 
 bool
@@ -284,7 +291,7 @@ Supervisor::finalize(std::size_t index, const CellSpec &cell,
     if (!(o.result.error.ok() && o.result.halted && o.result.archMatch))
         ++_failures;
 
-    if (_journalReady) {
+    if (_journal.isOpen()) {
         JournalRecord rec;
         rec.cell = cellHash(cell);
         // Worker deaths and transient host failures describe how the
@@ -294,31 +301,33 @@ Supervisor::finalize(std::size_t index, const CellSpec &cell,
         rec.result = o.result;
         rec.reproPath = o.reproPath;
         std::string err;
-        if (!_journal.append(rec, &err))
+        if (_journal.append(rec, &err))
+            _unsynced = true;
+        else
             warn("supervisor: journal append failed: %s", err.c_str());
     }
+}
+
+void
+Supervisor::syncJournal()
+{
+    if (!_unsynced)
+        return;
+    _unsynced = false;
+    std::string err;
+    if (!_journal.flush(&err))
+        warn("supervisor: %s — unsynced results will re-run on "
+             "--resume",
+             err.c_str());
 }
 
 std::vector<CellOutcome>
 Supervisor::runAll(const std::vector<CellSpec> &cells)
 {
-    if (!_journalReady && !_opts.journalPath.empty()) {
-        JournalSetup setup;
-        setup.log = _opts.logOptions;
-        setup.resumeThreads = _opts.resumeThreads;
-        setup.announceResume = _opts.resume;
-        std::string err;
-        if (_journal.open(_opts.journalPath, setup, &err))
-            _journalReady = true;
-        else
-            warn("supervisor: %s — continuing without a journal",
-                 err.c_str());
-    }
-
     // Resume index: last journal record per cell hash wins, and only
     // final records short-circuit execution.
     std::map<std::uint64_t, const JournalRecord *> replayable;
-    if (_opts.resume && _journalReady)
+    if (_opts.resume && _journal.isOpen())
         replayable = Journal::resumeIndex(_journal.loaded());
 
     std::vector<CellOutcome> out(cells.size());
@@ -397,6 +406,12 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
             }
             it = pending.erase(it);
         }
+
+        // One sync per wake covers every record the previous wake
+        // reaped; issued once the freed slots are refilled, it
+        // overlaps the new workers' start-up. A crash before it loses
+        // at most those records, and --resume re-executes their cells.
+        syncJournal();
 
         // Poll every live pipe; wake early for the nearest deadline
         // or backoff expiry, and at least every 100 ms for the stop
@@ -528,17 +543,7 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
         }
     }
 
-    // Group-commit ack: nothing is reported (or resumed past) until
-    // the log's durable watermark covers every record appended above.
-    // A crash before this point loses at most the last commit window;
-    // --resume re-executes exactly those cells.
-    if (_journalReady) {
-        std::string err;
-        if (!_journal.flush(&err))
-            warn("supervisor: journal flush failed: %s — unflushed "
-                 "results will re-run on --resume",
-                 err.c_str());
-    }
+    syncJournal();
     return out;
 }
 

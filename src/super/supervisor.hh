@@ -13,12 +13,12 @@
  *
  * Child deaths are classified from the wait status into the
  * SimError::Reason::Worker* kinds; every completed cell is appended
- * to the durable group-commit result log; `resume` replays final
- * records and selectively re-executes the rest. SIGINT/SIGTERM (see
- * installStopHandlers) stop the loop at the next poll tick: children
- * are reaped, the journal is flushed (runAll waits on the log's
- * durable watermark before returning), and the caller prints the
- * partial tally plus a one-line resume hint.
+ * to the JSONL campaign journal, which is synced once per poll-loop
+ * wake that reaped a cell and again before runAll returns; `resume`
+ * replays final records and selectively re-executes the rest.
+ * SIGINT/SIGTERM (see installStopHandlers) stop the loop at the next
+ * poll tick: children are reaped, the journal is synced, and the
+ * caller prints the partial tally plus a one-line resume hint.
  */
 
 #ifndef EDGE_SUPER_SUPERVISOR_HH
@@ -32,9 +32,21 @@
 #include "sim/run_pool.hh"
 #include "super/cell.hh"
 #include "super/journal.hh"
-#include "super/runner.hh"
 
 namespace edge::super {
+
+/** What one supervised cell produced. */
+struct CellOutcome
+{
+    sim::RunResult result;
+    /** False only when the campaign stopped before this cell ran —
+     *  such cells have no journal record and no meaningful result. */
+    bool ran = false;
+    /** True when `result` was replayed from the resume journal. */
+    bool fromJournal = false;
+    /** Automatic crash capture, when one was written. */
+    std::string reproPath;
+};
 
 struct SupervisorOptions
 {
@@ -61,13 +73,9 @@ struct SupervisorOptions
     /** Retry policy for transient (timeout) failures. Deterministic
      *  worker deaths are never retried in-session. */
     sim::RetryPolicy retry;
-    /** Group-commit result-log tuning + crash-fault injection. */
-    log::LogOptions logOptions;
-    /** Redo workers for `--resume` journal recovery (0 = auto). */
-    unsigned resumeThreads = 0;
 };
 
-class Supervisor : public CellRunner
+class Supervisor
 {
   public:
     explicit Supervisor(SupervisorOptions opts);
@@ -81,30 +89,25 @@ class Supervisor : public CellRunner
      * batches); the journal stays open across calls.
      */
     std::vector<CellOutcome>
-    runAll(const std::vector<CellSpec> &cells) override;
+    runAll(const std::vector<CellSpec> &cells);
 
     /** Cooperative stop (what the signal handlers trigger): kill and
      *  reap children, return with the un-run cells marked !ran. */
     void
-    requestStop() override
+    requestStop()
     {
         _stop.store(true, std::memory_order_relaxed);
     }
-    bool stopRequested() const override;
-
-    /** Cancellation flag for in-process retry backoff sharing. */
-    const std::atomic<bool> *stopFlag() const { return &_stop; }
+    bool stopRequested() const;
 
     // --- campaign tallies (across all runAll calls) ---------------------
-    std::size_t completed() const override { return _completed; }
-    std::size_t skipped() const override { return _skipped; }
-    std::size_t failures() const override { return _failures; }
+    std::size_t completed() const { return _completed; }
+    std::size_t skipped() const { return _skipped; } ///< replayed
+    std::size_t failures() const { return _failures; }
 
-    const SupervisorOptions &options() const { return _opts; }
-    const Journal &journal() const { return _journal; }
-
-    /** One-line `--resume` hint for interrupted-campaign banners. */
-    std::string resumeHint() const override;
+    /** One-line `--resume` hint for interrupted-campaign banners
+     *  ("" when the campaign has no journal). */
+    std::string resumeHint() const;
 
   private:
     struct Child;
@@ -112,10 +115,13 @@ class Supervisor : public CellRunner
     bool spawn(Child &child, const CellSpec &cell);
     void finalize(std::size_t index, const CellSpec &cell,
                   sim::RunResult result, std::vector<CellOutcome> &out);
+    /** fdatasync the journal if a record was appended since the last
+     *  sync. */
+    void syncJournal();
 
     SupervisorOptions _opts;
     Journal _journal;
-    bool _journalReady = false;
+    bool _unsynced = false; ///< appended since the last journal sync
     std::atomic<bool> _stop{false};
     std::size_t _completed = 0;
     std::size_t _skipped = 0;

@@ -119,8 +119,7 @@ class JsonValue
  * `path` (the directory is fsync'd too). A reader therefore sees
  * either the previous complete file or the new complete file — never
  * a truncated half-write, even if the writer dies mid-call or the
- * host loses power. Used for `.repro.json` captures and for every
- * campaign-journal append.
+ * host loses power. Used for `.repro.json` captures.
  */
 bool writeFileDurable(const std::string &path,
                       const std::string &content, std::string *err);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the campaign supervisor (src/super/): the worker
- * protocol, cell identity, journal durability semantics, wait-status
+ * protocol, cell identity, the JSONL journal's durability semantics
+ * (torn tails, bit flips, a SIGKILLed writer), wait-status
  * classification of dead children, and the acceptance scenario —
  * a campaign with a SIGKILLed cell, interrupted and resumed, must
  * produce a report bit-identical to the uninterrupted run.
@@ -14,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -23,8 +27,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/hash.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "super/campaign.hh"
@@ -202,22 +208,57 @@ TEST(SuperWorker, OversizedSpecIsBoundedProtocolError)
 
 // --- journal durability and parsing ---------------------------------
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << bytes;
+}
+
+/** A distinctive final record for cell `i`. */
+super::JournalRecord
+recordFor(std::uint64_t i)
+{
+    super::JournalRecord rec;
+    rec.cell = 0x1000 + i;
+    rec.result.halted = true;
+    rec.result.archMatch = true;
+    rec.result.rngSeed = i;
+    rec.result.cycles = 987654321 + i; // distinctive digits to corrupt
+    return rec;
+}
+
+/** Write a journal of `n` recordFor() records and close it. */
+void
+writeJournal(const std::string &path, std::uint64_t n)
+{
+    super::Journal j;
+    std::string err;
+    ASSERT_TRUE(j.open(path, &err)) << err;
+    for (std::uint64_t i = 0; i < n; ++i)
+        ASSERT_TRUE(j.append(recordFor(i), &err)) << err;
+    ASSERT_TRUE(j.flush(&err)) << err;
+}
+
 TEST(SuperJournal, AppendLoadRoundTripAndLastRecordWins)
 {
     TempDir dir("journal");
     std::string path = dir.file("camp.journal");
-
-    super::Journal j;
-    std::string err;
-    ASSERT_TRUE(j.open(path, &err)) << err;
 
     super::JournalRecord a;
     a.cell = 0xabcdef;
     a.final = false; // worker death: must be superseded on resume
     a.result.error.reason = chaos::SimError::Reason::WorkerKilled;
     a.result.rngSeed = 9;
-    ASSERT_TRUE(j.append(a, &err)) << err;
-    EXPECT_GT(j.lastLsn(), 0u);
 
     super::JournalRecord b;
     b.cell = 0xabcdef;
@@ -226,12 +267,32 @@ TEST(SuperJournal, AppendLoadRoundTripAndLastRecordWins)
     b.result.archMatch = true;
     b.result.rngSeed = 9;
     b.result.cycles = 1234;
-    ASSERT_TRUE(j.append(b, &err)) << err;
 
-    // append() only sequences; the group-commit flusher makes it
-    // durable. flush() waits on the watermark.
-    ASSERT_TRUE(j.flush(&err)) << err;
-    EXPECT_GE(j.durableLsn(), j.lastLsn());
+    std::string err;
+    {
+        super::Journal j;
+        ASSERT_TRUE(j.open(path, &err)) << err;
+        EXPECT_TRUE(j.loaded().empty());
+        ASSERT_TRUE(j.append(a, &err)) << err;
+        ASSERT_TRUE(j.flush(&err)) << err;
+    }
+    // A second session loads the first and appends after it.
+    {
+        super::Journal j;
+        ASSERT_TRUE(j.open(path, &err)) << err;
+        ASSERT_EQ(j.loaded().size(), 1u);
+        EXPECT_TRUE(super::Journal::resumeIndex(j.loaded()).empty());
+        ASSERT_TRUE(j.append(b, &err)) << err;
+        ASSERT_TRUE(j.flush(&err)) << err;
+    }
+
+    // The header line, then one record per line.
+    std::string text = slurp(path);
+    EXPECT_EQ(text.rfind("{\"format\":\"edgesim-journal\",\"version\":1,"
+                         "\"build\":",
+                         0),
+              0u);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
 
     std::vector<super::JournalRecord> recs;
     std::string build;
@@ -241,175 +302,79 @@ TEST(SuperJournal, AppendLoadRoundTripAndLastRecordWins)
     EXPECT_FALSE(build.empty());
     EXPECT_FALSE(recs[0].final);
     EXPECT_TRUE(recs[1].final);
-    EXPECT_EQ(recs[1].cell, 0xabcdefu);
-    EXPECT_EQ(recs[1].result.cycles, 1234u);
     EXPECT_EQ(dump(recs[1].result), dump(b.result));
+
+    auto index = super::Journal::resumeIndex(recs);
+    ASSERT_EQ(index.size(), 1u);
+    EXPECT_EQ(index.at(0xabcdef)->result.cycles, 1234u);
 }
 
-/** The newest segment file of a log directory. */
-std::string
-lastSegment(const std::string &dir)
-{
-    std::string last;
-    for (const auto &e : std::filesystem::directory_iterator(dir)) {
-        std::string p = e.path().string();
-        if (p.size() > 5 &&
-            p.compare(p.size() - 5, 5, ".elog") == 0 &&
-            (last.empty() || p > last))
-            last = p;
-    }
-    return last;
-}
-
-TEST(SuperJournal, ToleratesTornTailOnly)
+TEST(SuperJournal, DropsTornFinalLineWithAWarning)
 {
     TempDir dir("torn");
     std::string path = dir.file("torn.journal");
+    writeJournal(path, 3);
 
-    std::string err;
-    {
-        super::Journal j;
-        ASSERT_TRUE(j.open(path, &err)) << err;
-        super::JournalRecord rec;
-        rec.cell = 1;
-        rec.result.halted = true;
-        ASSERT_TRUE(j.append(rec, &err)) << err;
-        super::JournalRecord rec2 = rec;
-        rec2.cell = 2;
-        ASSERT_TRUE(j.append(rec2, &err)) << err;
-        ASSERT_TRUE(j.flush(&err)) << err;
-        // Both records landed in the same group-commit block; close
-        // and reopen so each ends up in its own block.
-    }
-    {
-        super::Journal j;
-        ASSERT_TRUE(j.open(path, &err)) << err;
-        super::JournalRecord rec3;
-        rec3.cell = 3;
-        rec3.result.halted = true;
-        ASSERT_TRUE(j.append(rec3, &err)) << err;
-        ASSERT_TRUE(j.flush(&err)) << err;
-    }
-
-    // Tear the newest block: chop bytes off the physical end of the
-    // newest segment, exactly what a crash mid-write leaves behind.
-    // The torn tail is dropped with a warning; the prefix loads.
-    std::string seg = lastSegment(path);
-    ASSERT_FALSE(seg.empty());
-    std::uintmax_t size = std::filesystem::file_size(seg);
-    std::filesystem::resize_file(seg, size - 7);
+    // Chop bytes off the end: exactly what a crash mid-append leaves.
+    std::uintmax_t size = std::filesystem::file_size(path);
+    std::filesystem::resize_file(path, size - 7);
 
     std::vector<super::JournalRecord> recs;
-    std::string build;
+    std::string build, err;
+    ::testing::internal::CaptureStderr();
     ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
         << err;
-    EXPECT_EQ(recs.size(), 2u);
-    EXPECT_EQ(recs[0].cell, 1u);
-    EXPECT_EQ(recs[1].cell, 2u);
+    std::string warned = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warned.find("dropping truncated final line 4"),
+              std::string::npos)
+        << warned;
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[1].cell, recordFor(1).cell);
 
-    // Reopening for append truncates the torn tail and the journal
-    // keeps working; the torn record simply re-executes.
+    // Reopening for append cuts the torn line off; the journal keeps
+    // working and the torn record simply re-executes.
     {
         super::Journal j;
         ASSERT_TRUE(j.open(path, &err)) << err;
         EXPECT_EQ(j.loaded().size(), 2u);
-        EXPECT_EQ(j.recoveryStats().tornRecords, 1u);
-        super::JournalRecord rec3;
-        rec3.cell = 3;
-        rec3.result.halted = true;
-        ASSERT_TRUE(j.append(rec3, &err)) << err;
+        ASSERT_TRUE(j.append(recordFor(2), &err)) << err;
         ASSERT_TRUE(j.flush(&err)) << err;
     }
-    recs.clear();
     ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
         << err;
-    EXPECT_EQ(recs.size(), 3u);
+    ASSERT_EQ(recs.size(), 3u);
+    EXPECT_EQ(dump(recs[2].result), dump(recordFor(2).result));
 }
 
-TEST(SuperJournal, RejectsBitFlippedBlockNamingTheLsn)
+TEST(SuperJournal, BitFlippedRecordFailsNamingItsLine)
 {
+    // A physically complete line with a flipped digit is corruption,
+    // not a torn append: rejected naming the line, wherever it sits —
+    // the final line included — never silently dropped.
     TempDir dir("crc");
-    std::string path = dir.file("crc.journal");
+    for (std::uint64_t victim : {0u, 1u, 2u}) {
+        std::string path =
+            dir.file("crc" + std::to_string(victim) + ".journal");
+        writeJournal(path, 3);
+        std::string text = slurp(path);
+        std::size_t pos =
+            text.find(std::to_string(987654321 + victim));
+        ASSERT_NE(pos, std::string::npos);
+        text[pos] = text[pos] == '1' ? '2' : '1';
+        spit(path, text);
 
-    std::string err;
-    {
+        std::vector<super::JournalRecord> recs;
+        std::string build, err;
+        EXPECT_FALSE(super::Journal::load(path, &recs, &build, &err));
+        const std::string line = std::to_string(victim + 2);
+        EXPECT_NE(err.find("checksum mismatch at line " + line),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find(path), std::string::npos) << err;
+
         super::Journal j;
-        ASSERT_TRUE(j.open(path, &err)) << err;
-        super::JournalRecord a;
-        a.cell = 1;
-        a.final = true;
-        a.result.halted = true;
-        a.result.cycles = 987654321; // distinctive digits to corrupt
-        ASSERT_TRUE(j.append(a, &err)) << err;
-        super::JournalRecord b = a;
-        b.cell = 2;
-        ASSERT_TRUE(j.append(b, &err)) << err;
-        ASSERT_TRUE(j.flush(&err)) << err;
+        EXPECT_FALSE(j.open(path, &err));
     }
-
-    // Flip one payload byte. The block is physically complete — not
-    // a torn append — so even at the tail this is corruption and must
-    // be rejected naming the LSN, never silently dropped.
-    std::string seg = lastSegment(path);
-    ASSERT_FALSE(seg.empty());
-    std::string text;
-    {
-        std::ifstream in(seg, std::ios::binary);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        text = ss.str();
-    }
-    std::size_t pos = text.find("987654321");
-    ASSERT_NE(pos, std::string::npos);
-    text[pos] = '1';
-    {
-        std::ofstream out(seg, std::ios::trunc | std::ios::binary);
-        out << text;
-    }
-
-    std::vector<super::JournalRecord> recs;
-    std::string build;
-    EXPECT_FALSE(super::Journal::load(path, &recs, &build, &err));
-    EXPECT_NE(err.find("checksum mismatch"), std::string::npos) << err;
-    EXPECT_NE(err.find("lsn"), std::string::npos) << err;
-}
-
-TEST(SuperJournal, MigratesLegacyJsonlInPlace)
-{
-    // A PR-5 JSONL journal given to open() is migrated: the file is
-    // kept as <path>.v1 and its records re-appended into a segment
-    // log at <path>, preserving the recorded build provenance.
-    TempDir dir("migrate");
-    std::string path = dir.file("old.journal");
-    sim::RunResult r;
-    r.halted = true;
-    r.archMatch = true;
-    r.cycles = 4242;
-    {
-        std::ofstream f(path);
-        f << "{\"format\": \"edgesim-journal\", \"version\": 1, "
-             "\"build\": \"legacy-build-line\"}\n";
-        f << "{\"cell\": 5, \"final\": true, \"result\": "
-          << triage::resultToJson(r).dumpCompact() << "}\n";
-    }
-
-    std::string err;
-    super::Journal j;
-    ASSERT_TRUE(j.open(path, &err)) << err;
-    EXPECT_TRUE(std::filesystem::is_directory(path));
-    EXPECT_TRUE(std::filesystem::is_regular_file(path + ".v1"));
-    ASSERT_EQ(j.loaded().size(), 1u);
-    EXPECT_EQ(j.loaded()[0].cell, 5u);
-    EXPECT_EQ(dump(j.loaded()[0].result), dump(r));
-    EXPECT_EQ(j.buildLine(), "legacy-build-line");
-
-    // The migrated log reads back like any other.
-    std::vector<super::JournalRecord> recs;
-    std::string build;
-    ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
-        << err;
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(build, "legacy-build-line");
 }
 
 TEST(SuperJournal, ChecksumlessRecordsStillLoad)
@@ -437,6 +402,39 @@ TEST(SuperJournal, ChecksumlessRecordsStillLoad)
         << err;
     ASSERT_EQ(recs.size(), 1u);
     EXPECT_EQ(recs[0].cell, 5u);
+    EXPECT_EQ(build, "older-build");
+    EXPECT_EQ(dump(recs[0].result), dump(r));
+}
+
+TEST(SuperJournal, RecordsWithRetiredFabricFieldsStillLoad)
+{
+    // Older builds stamped lease provenance into each record. Unknown
+    // keys are ignored, and the crc covers the whole object.
+    TempDir dir("fabric");
+    std::string path = dir.file("fabric.journal");
+    sim::RunResult r;
+    r.halted = true;
+    r.archMatch = true;
+    r.cycles = 4242;
+    triage::JsonValue o = triage::JsonValue::object();
+    o.set("cell", triage::JsonValue::u64(5));
+    o.set("final", triage::JsonValue::boolean(true));
+    o.set("agent", triage::JsonValue::str("host-b:2"));
+    o.set("lease", triage::JsonValue::u64(17));
+    o.set("attempt", triage::JsonValue::u64(2));
+    o.set("audit", triage::JsonValue::str("match"));
+    o.set("result", triage::resultToJson(r));
+    o.set("crc", triage::JsonValue::u64(fnv1a64(o.dumpCompact())));
+    spit(path, "{\"format\":\"edgesim-journal\",\"version\":1,"
+               "\"build\":\"fabric-build\"}\n" +
+                   o.dumpCompact() + "\n");
+
+    std::vector<super::JournalRecord> recs;
+    std::string build, err;
+    ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
+        << err;
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].cell, 5u);
     EXPECT_EQ(dump(recs[0].result), dump(r));
 }
 
@@ -444,15 +442,144 @@ TEST(SuperJournal, RejectsNonJournalFiles)
 {
     TempDir dir("notjournal");
     std::string path = dir.file("other.jsonl");
-    {
-        std::ofstream f(path);
-        f << "{\"format\": \"something-else\", \"version\": 1}\n";
-    }
+    const std::string other =
+        "{\"format\": \"something-else\", \"version\": 1}\n";
+    spit(path, other);
     std::vector<super::JournalRecord> recs;
     std::string build;
     std::string err;
     EXPECT_FALSE(super::Journal::load(path, &recs, &build, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_NE(err.find("not an edgesim-journal file"), std::string::npos)
+        << err;
+
+    // open() refuses it too, and leaves the file as it was.
+    super::Journal j;
+    EXPECT_FALSE(j.open(path, &err));
+    EXPECT_EQ(slurp(path), other);
+
+    std::string text = dir.file("notes.txt");
+    spit(text, "hello\nworld\n");
+    EXPECT_FALSE(super::Journal::load(text, &recs, &build, &err));
+    EXPECT_NE(err.find("not an edgesim-journal file"), std::string::npos)
+        << err;
+}
+
+TEST(SuperJournal, RefusesSegmentLogDirectory)
+{
+    // The group-commit segment-log directory an older build wrote at
+    // the journal path is outside input, not a journal: a structured
+    // error naming the path, never a crash.
+    TempDir dir("seglog");
+    std::string path = dir.file("fuzz-seed7-n120.journal");
+    std::filesystem::create_directories(path);
+    spit(path + "/seg-000001.elog", std::string(64, '\0'));
+
+    const std::string want =
+        "journal '" + path +
+        "': segment-log journal from an older build; start a fresh "
+        "journal";
+    std::vector<super::JournalRecord> recs;
+    std::string build, err;
+    EXPECT_FALSE(super::Journal::load(path, &recs, &build, &err));
+    EXPECT_EQ(err, want);
+    super::Journal j;
+    EXPECT_FALSE(j.open(path, &err));
+    EXPECT_EQ(err, want);
+    std::string desc;
+    EXPECT_FALSE(super::Journal::provenanceMismatch(path, &desc));
+
+    // A resumed campaign stops with that error (exit 1) before any
+    // cell runs.
+    super::SupervisorOptions so = noRetryOptions();
+    so.journalPath = path;
+    so.resume = true;
+    EXPECT_EXIT(
+        {
+            super::Supervisor sup(so);
+            sup.runAll({kernelCell(1)});
+        },
+        ::testing::ExitedWithCode(1), "segment-log journal from an older");
+}
+
+TEST(SuperJournal, SigkilledWriterLeavesEveryEarlierRecordLoadable)
+{
+    // A forked child appends and syncs records until it is SIGKILLed
+    // mid-campaign; the parent then tears the last line, as a kill
+    // inside the write() would. Every earlier record must load, and a
+    // resumed session that re-appends the rest ends with the full,
+    // uninterrupted record set.
+    TempDir dir("sigkill");
+    const std::string path = dir.file("killed.journal");
+    constexpr std::uint64_t kCells = 400;
+    constexpr long kWaitLines = 40;
+
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        super::Journal j;
+        std::string err;
+        if (!j.open(path, &err))
+            ::_exit(3);
+        for (std::uint64_t i = 0; i < kCells; ++i)
+            if (!j.append(recordFor(i), &err) || !j.flush(&err))
+                ::_exit(4);
+        ::pause(); // the parent's SIGKILL always ends the child
+        ::_exit(0);
+    }
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+        std::string text = slurp(path);
+        if (std::count(text.begin(), text.end(), '\n') > kWaitLines)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::kill(pid, SIGKILL);
+    int st = 0;
+    ASSERT_EQ(::waitpid(pid, &st, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(st) && WTERMSIG(st) == SIGKILL)
+        << "status " << st;
+
+    // Truncate inside the last line.
+    std::string text = slurp(path);
+    ASSERT_FALSE(text.empty());
+    std::size_t body = text.back() == '\n' ? text.size() - 1 : text.size();
+    std::size_t lastStart = text.rfind('\n', body - 1) + 1;
+    ASSERT_GT(lastStart, 0u);
+    std::filesystem::resize_file(path,
+                                 lastStart + (body - lastStart) / 2);
+    // Header + the records before the torn one.
+    const auto intact = static_cast<std::uint64_t>(
+        std::count(text.begin(), text.begin() + lastStart, '\n') - 1);
+    ASSERT_GE(intact, static_cast<std::uint64_t>(kWaitLines - 1));
+
+    std::vector<super::JournalRecord> recs;
+    std::string build, err;
+    ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
+        << err;
+    ASSERT_EQ(recs.size(), intact);
+    for (std::uint64_t i = 0; i < intact; ++i)
+        EXPECT_EQ(dump(recs[i].result), dump(recordFor(i).result))
+            << "record " << i;
+
+    // Resume: re-append exactly the missing cells.
+    {
+        super::Journal j;
+        ASSERT_TRUE(j.open(path, &err)) << err;
+        ASSERT_EQ(j.loaded().size(), intact);
+        for (std::uint64_t i = intact; i < kCells; ++i)
+            ASSERT_TRUE(j.append(recordFor(i), &err)) << err;
+        ASSERT_TRUE(j.flush(&err)) << err;
+    }
+    ASSERT_TRUE(super::Journal::load(path, &recs, &build, &err))
+        << err;
+    auto index = super::Journal::resumeIndex(recs);
+    ASSERT_EQ(index.size(), kCells);
+    for (std::uint64_t i = 0; i < kCells; ++i)
+        EXPECT_EQ(dump(index.at(recordFor(i).cell)->result),
+                  dump(recordFor(i).result))
+            << "cell " << i;
 }
 
 // --- wait-status classification of dead children --------------------

@@ -28,20 +28,15 @@
  *   14  host wall-clock deadline
  *   15  worker crash             16  worker killed
  *   17  worker timeout           18  worker protocol
- *   19  agent lost (campaign fabric)
- *   20  journal provenance mismatch (--strict-provenance)
- *   21  agent corrupt (result audit caught divergent bytes)
+ *   19  retired                  20  journal provenance mismatch
+ *   21  retired                  22  retired
  *   128+N  supervised campaign interrupted by signal N
- *
- * Campaign fabric (docs/PROTOCOL.md, "Campaign fabric"):
- *   edgesim serve --listen 7733            # coordinator
- *   edgesim serve --agent host:7733        # executor agent
- *   edgesim --fuzz 200 --submit host:7733  # client submission
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -51,9 +46,6 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "fuzz/diff.hh"
-#include "serve/agent.hh"
-#include "serve/daemon.hh"
-#include "serve/simnet/explorer.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "super/campaign.hh"
@@ -81,13 +73,6 @@ usage()
         "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
         "       edgesim --fuzz N [--fuzz-seed S] [--fuzz-chaos <name>]\n"
         "               [--corpus-dir <dir>] [--minimize] [-j N]\n"
-        "       edgesim serve --listen <port> [fabric options]\n"
-        "       edgesim serve --agent <host:port> [--slots N] [--name S]\n"
-        "       edgesim --fuzz N --submit <host:port>\n"
-        "       edgesim --kernel K --chaos-sweep N --submit <host:port>\n"
-        "       edgesim serve --simulate [--seeds A..B|N]\n"
-        "               [--sim-profile <name>] [--fabsim-dir <dir>]\n"
-        "       edgesim serve --replay <file.fabsim.json> [--minimize]\n"
         "\n"
         "  --fuzz N  differential fuzzing: N random hyperblock\n"
         "         programs, each run under every mechanism and\n"
@@ -111,77 +96,15 @@ usage()
         "  --isolate  run every grid cell in a sandboxed child\n"
         "         process; a segfaulting/OOM-killed/hung cell becomes\n"
         "         a structured failure row, never a dead campaign\n"
-        "  --journal-dir <dir>  durable group-commit result log of\n"
+        "  --journal-dir <dir>  append-only JSONL journal of\n"
         "         completed cells (implies --isolate)\n"
         "  --resume <journal>  skip cells the journal marks final,\n"
         "         re-execute the rest, merge (implies --isolate)\n"
-        "  --resume-threads N  redo workers for the recovery scan\n"
-        "         (default: hardware threads; merge is identical at\n"
-        "         any count)\n"
         "  --strict-provenance  refuse to resume a journal written\n"
         "         by a different build (exit 20) instead of warning\n"
-        "  --log-group-ms N  group-commit window: max ms a record\n"
-        "         waits for its batch fsync (default 5)\n"
-        "  --log-segment-mb N  segment rotation size (default 64)\n"
-        "  --log-chaos <point> / --log-chaos-seed N  deterministic\n"
-        "         crash/IO-fault injection into the result log\n"
-        "         (points: before-write mid-write after-write\n"
-        "         before-fsync after-fsync before-rotate fail-fsync)\n"
         "  --cell-timeout-ms N  SIGKILL a cell past this deadline\n"
         "  --rlimit-as-mb N / --rlimit-cpu-sec N  child sandbox caps\n"
         "\n"
-        "campaign fabric (multi-host; docs/PROTOCOL.md):\n"
-        "  serve --listen <port>  coordinator: accepts agents and\n"
-        "         campaign submissions, leases cells out, reassigns\n"
-        "         on agent death, falls back to local workers\n"
-        "  serve --agent <host:port>  executor agent: runs leased\n"
-        "         cells via the --worker-cell isolation path\n"
-        "  --submit <host:port>  run this --fuzz / --chaos-sweep\n"
-        "         campaign on a coordinator instead of locally\n"
-        "  --submit-timeout-ms N  client inactivity deadline: fail\n"
-        "         the submit if the coordinator sends nothing for N\n"
-        "         ms (must exceed the campaign duration; 0 = wait\n"
-        "         forever)\n"
-        "  coordinator knobs: --heartbeat-ms N, --heartbeat-timeout-ms\n"
-        "         N, --lease-ms N, --max-reassign N, --once,\n"
-        "         --no-local-fallback, --journal <file>, --resume\n"
-        "         <file>, --fabric-chaos <profile>,\n"
-        "         --fabric-chaos-seed N (profiles: none drop\n"
-        "         duplicate partition kill heavy slow liar)\n"
-        "  self-defence knobs: --hedge-after-ms N (straggler hedge\n"
-        "         threshold; 0 = auto from fleet p95), --hedge-max N\n"
-        "         (speculative leases per cell, 0 = off),\n"
-        "         --audit-frac F (re-execute fraction F of clean\n"
-        "         remote results on a second agent and byte-compare;\n"
-        "         divergence quarantines the corrupt agent),\n"
-        "         --max-queued N (shed submissions past N queued,\n"
-        "         structured retry-after error; 0 = unbounded)\n"
-        "  --submit-retries N  resubmissions after an admission-\n"
-        "         control shed (honoring its retry_after_ms hint;\n"
-        "         default 3)\n"
-        "  agent knobs: --slots N, --name S, --die-after N,\n"
-        "         --reconnect-max N (re-dial attempts after a dropped\n"
-        "         coordinator connection, capped+jittered backoff;\n"
-        "         in-flight cells keep running and finished results\n"
-        "         are re-offered after re-registration; default 5)\n"
-        "\n"
-        "deterministic fabric simulation (docs/PROTOCOL.md):\n"
-        "  serve --simulate  run whole simulated fabrics (coordinator,\n"
-        "         agents, clients) on virtual time, one world per\n"
-        "         seed, checking fabric invariants; failing seeds are\n"
-        "         captured as self-contained .fabsim.json files\n"
-        "  --seeds A..B | N  seed range (inclusive) or first-N\n"
-        "  --sim-profile <name>  fault mix: none drop delay partition\n"
-        "         crash-restart liar heavy\n"
-        "  --sim-agents/--sim-cells/--sim-clients N  fix the world\n"
-        "         shape (default: derived per seed)\n"
-        "  --fabsim-dir <dir>  capture directory (default fabsim/)\n"
-        "  --mutate no-hedge-revoke  arm the planted regression\n"
-        "         (EDGE_MUTATIONS builds)\n"
-        "  serve --replay <file.fabsim.json>  re-run a captured world\n"
-        "         from its recorded event schedule; exits 0 iff the\n"
-        "         violation reproduces (--minimize: ddmin the schedule\n"
-        "         first, writing <file>.min.json)\n"
         "  --version  print the build provenance line\n"
         "  --capture-repro <dir>  write a .repro.json for every\n"
         "         failing run / sweep cell into <dir>\n"
@@ -194,8 +117,8 @@ usage()
         "  failures, 4 replay mismatch, 10 watchdog, 11 invariant\n"
         "  violation, 12 protocol panic, 13 livelock, 14 host\n"
         "  deadline, 15-18 worker crash/kill/timeout/protocol,\n"
-        "  19 agent lost, 20 provenance mismatch, 21 agent corrupt,\n"
-        "  22 fabric-sim violation, 128+N interrupted by signal N\n"
+        "  20 provenance mismatch (19, 21, 22 retired), 128+N\n"
+        "  interrupted by signal N\n"
         "\n"
         "configs: ");
     for (const auto &c : sim::Configs::allNames())
@@ -338,10 +261,9 @@ replayMain(const std::string &path, bool minimize, unsigned threads)
 }
 
 /** Partial-campaign banner + resume hint, shared by the interrupted
- *  sweep and fuzz paths (local Supervisor or serve Fabric — any
- *  CellRunner). Returns the 128+signal exit status. */
+ *  sweep and fuzz paths. Returns the 128+signal exit status. */
 int
-interruptedExit(const super::CellRunner &sup)
+interruptedExit(const super::Supervisor &sup)
 {
     int sig = super::stopSignal() ? super::stopSignal() : SIGINT;
     std::printf("campaign interrupted (%s): %zu cell(s) journaled "
@@ -355,11 +277,13 @@ interruptedExit(const super::CellRunner &sup)
     return 128 + sig;
 }
 
-/** The fuzz banner, shared by the local and --submit paths so a
- *  remote campaign's stdout is byte-identical to a local one. */
-void
-fuzzHeader(const fuzz::FuzzOptions &opts)
+int
+fuzzMain(const fuzz::FuzzOptions &opts, bool minimize,
+         unsigned threads, const super::Supervisor *sup = nullptr)
 {
+    fatal_if(minimize && opts.corpusDir.empty(),
+             "--fuzz --minimize needs --corpus-dir (minimization "
+             "starts from the captured .repro.json)");
     const std::vector<std::string> &configs =
         opts.configs.empty() ? fuzz::defaultConfigs() : opts.configs;
     std::printf("fuzz: %llu program(s) x %zu mechanism(s), base seed "
@@ -370,14 +294,8 @@ fuzzHeader(const fuzz::FuzzOptions &opts)
                 opts.chaosProfile != chaos::Profile::None
                     ? ", chaos layered on"
                     : "");
-}
+    fuzz::FuzzReport rep = fuzz::runCampaign(opts);
 
-/** Print a fuzz report (wherever it ran) and map it to an exit
- *  status. */
-int
-fuzzReportExit(const fuzz::FuzzReport &rep, bool minimize,
-               unsigned threads, const super::CellRunner *sup)
-{
     std::printf("fuzz: %llu run(s), %llu pass(es), %zu failure(s) "
                 "(%llu duplicate(s)), %llu ref-hang(s)\n",
                 static_cast<unsigned long long>(rep.runs),
@@ -420,199 +338,6 @@ fuzzReportExit(const fuzz::FuzzReport &rep, bool minimize,
     return rep.clean() ? 0 : 2;
 }
 
-int
-fuzzMain(const fuzz::FuzzOptions &opts, bool minimize,
-         unsigned threads, const super::CellRunner *sup = nullptr)
-{
-    fatal_if(minimize && opts.corpusDir.empty(),
-             "--fuzz --minimize needs --corpus-dir (minimization "
-             "starts from the captured .repro.json)");
-    fuzzHeader(opts);
-    fuzz::FuzzReport rep = fuzz::runCampaign(opts);
-    return fuzzReportExit(rep, minimize, threads, sup);
-}
-
-/** `edgesim serve ...`: the coordinator daemon or an agent. */
-int
-serveCliMain(int argc, char **argv)
-{
-    serve::ServeOptions so;
-    serve::AgentOptions ao;
-    serve::simnet::ExplorerOptions xo;
-    bool isAgent = false;
-    bool haveListen = false;
-    bool simulate = false;
-    bool simMinimize = false;
-    std::string simReplay;
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, "%s needs an argument",
-                     arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--listen") {
-            so.fabric.listenPort = static_cast<std::uint16_t>(
-                std::strtoul(next(), nullptr, 10));
-            haveListen = true;
-        } else if (arg == "--agent") {
-            ao.coordinator = next();
-            isAgent = true;
-        } else if (arg == "--slots") {
-            ao.slots = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--name") {
-            ao.name = next();
-        } else if (arg == "--die-after") {
-            ao.dieAfterResults = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--reconnect-max") {
-            ao.reconnectMax = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--worker-path") {
-            ao.workerPath = next();
-            so.fabric.workerPath = ao.workerPath;
-        } else if (arg == "-j" || arg == "--jobs") {
-            so.fabric.localJobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--heartbeat-ms") {
-            so.fabric.heartbeatMs =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--heartbeat-timeout-ms") {
-            so.fabric.heartbeatTimeoutMs =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--lease-ms") {
-            so.fabric.leaseMs = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--max-reassign") {
-            so.fabric.maxReassign = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--hedge-after-ms") {
-            so.fabric.hedgeAfterMs =
-                std::strtoull(next(), nullptr, 10);
-            xo.hedgeAfterMs = so.fabric.hedgeAfterMs;
-        } else if (arg == "--hedge-max") {
-            so.fabric.hedgeMax = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--audit-frac") {
-            so.fabric.auditFrac = std::strtod(next(), nullptr);
-            fatal_if(so.fabric.auditFrac < 0 ||
-                         so.fabric.auditFrac > 1,
-                     "--audit-frac expects a fraction in [0,1]");
-            xo.auditFrac = so.fabric.auditFrac;
-        } else if (arg == "--max-queued") {
-            so.fabric.maxQueued = static_cast<std::size_t>(
-                std::strtoull(next(), nullptr, 10));
-            xo.maxQueued = so.fabric.maxQueued;
-        } else if (arg == "--simulate") {
-            simulate = true;
-        } else if (arg == "--seeds") {
-            std::string spec = next();
-            auto dots = spec.find("..");
-            if (dots == std::string::npos) {
-                // "--seeds N" = the first N seeds.
-                std::uint64_t n =
-                    std::strtoull(spec.c_str(), nullptr, 10);
-                fatal_if(n == 0, "--seeds expects N or A..B");
-                xo.seedLo = 0;
-                xo.seedHi = n - 1;
-            } else {
-                xo.seedLo =
-                    std::strtoull(spec.c_str(), nullptr, 10);
-                xo.seedHi = std::strtoull(
-                    spec.c_str() + dots + 2, nullptr, 10);
-                fatal_if(xo.seedHi < xo.seedLo,
-                         "--seeds range is backwards");
-            }
-        } else if (arg == "--sim-profile") {
-            fatal_if(!serve::simnet::simProfileByName(next(),
-                                                      &xo.profile),
-                     "unknown sim profile '%s'", argv[i]);
-        } else if (arg == "--sim-agents") {
-            xo.agents = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--sim-cells") {
-            xo.cells = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--sim-clients") {
-            xo.clients = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--fabsim-dir") {
-            xo.fabsimDir = next();
-        } else if (arg == "--replay") {
-            simReplay = next();
-        } else if (arg == "--minimize") {
-            simMinimize = true;
-        } else if (arg == "--mutate") {
-            std::string m = next();
-            fatal_if(m != "no-hedge-revoke",
-                     "unknown fabric mutation '%s'", m.c_str());
-            xo.mutateNoHedgeRevoke = true;
-        } else if (arg == "--cell-timeout-ms") {
-            so.fabric.cellTimeoutMs =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--rlimit-as-mb") {
-            so.fabric.rlimitAsMb = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--rlimit-cpu-sec") {
-            so.fabric.rlimitCpuSec =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--journal") {
-            so.fabric.journalPath = next();
-        } else if (arg == "--resume") {
-            so.fabric.journalPath = next();
-            so.fabric.resume = true;
-        } else if (arg == "--log-group-ms") {
-            so.fabric.logOptions.groupCommitMs =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--log-segment-mb") {
-            so.fabric.logOptions.segmentBytes =
-                std::strtoull(next(), nullptr, 10) * 1024 * 1024;
-        } else if (arg == "--log-chaos") {
-            fatal_if(!log::logCrashPointByName(
-                         next(), &so.fabric.logOptions.chaos.point),
-                     "unknown log crash point '%s'", argv[i]);
-        } else if (arg == "--log-chaos-seed") {
-            so.fabric.logOptions.chaos.seed =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--resume-threads") {
-            so.fabric.resumeThreads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--strict-provenance") {
-            so.strictProvenance = true;
-        } else if (arg == "--capture-repro") {
-            so.fabric.reproDir = next();
-        } else if (arg == "--no-local-fallback") {
-            so.fabric.localFallback = false;
-        } else if (arg == "--fabric-chaos") {
-            fatal_if(!serve::fabricProfileByName(
-                         next(), &so.fabric.chaosProfile),
-                     "unknown fabric chaos profile '%s'", argv[i]);
-        } else if (arg == "--fabric-chaos-seed") {
-            so.fabric.chaosSeed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--once") {
-            so.once = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            fatal("serve: unknown argument '%s'", arg.c_str());
-        }
-    }
-
-    if (!simReplay.empty())
-        return serve::simnet::replayMain(simReplay, simMinimize,
-                                         xo.fabsimDir);
-    if (simulate)
-        return serve::simnet::exploreMain(xo);
-    fatal_if(isAgent && haveListen,
-             "serve: --agent and --listen are mutually exclusive");
-    fatal_if(!isAgent && !haveListen,
-             "serve: need --listen <port> (coordinator) or --agent "
-             "<host:port>");
-    if (isAgent)
-        return serve::agentMain(ao);
-    return serve::serveMain(so);
-}
-
 } // namespace
 
 int
@@ -624,10 +349,6 @@ main(int argc, char **argv)
     // leaves on stdout, and nothing else may write there.
     if (argc >= 2 && std::strcmp(argv[1], "--worker-cell") == 0)
         return super::workerCellMain(std::cin, std::cout);
-
-    // The campaign fabric: coordinator daemon or executor agent.
-    if (argc >= 2 && std::strcmp(argv[1], "serve") == 0)
-        return serveCliMain(argc, argv);
 
     std::string kernel;
     std::string config = "dsre";
@@ -650,16 +371,11 @@ main(int argc, char **argv)
     std::uint64_t fuzz_seed = 1;
     std::string corpus_dir;
     bool isolate = false;
-    std::string submit_to;
-    std::uint64_t submit_timeout_ms = 0;
-    unsigned submit_retries = 3;
     std::string journal_dir;
     std::string resume_path;
     std::uint64_t cell_timeout_ms = 0;
     std::uint64_t rlimit_as_mb = 0;
     std::uint64_t rlimit_cpu_sec = 0;
-    log::LogOptions log_opts;
-    unsigned resume_threads = 0;
     bool strict_provenance = false;
     std::vector<std::pair<std::string, std::uint64_t>> overrides;
 
@@ -669,6 +385,9 @@ main(int argc, char **argv)
             fatal_if(i + 1 >= argc, "%s needs an argument",
                      arg.c_str());
             return argv[++i];
+        };
+        auto nextU64 = [&](std::uint64_t max = UINT64_MAX) {
+            return parseU64(arg, next(), max);
         };
         if (arg == "--list") {
             std::printf("%-12s %-12s %s\n", "kernel", "models",
@@ -685,9 +404,9 @@ main(int argc, char **argv)
         } else if (arg == "--kernel") {
             kernel = next();
         } else if (arg == "--fuzz") {
-            fuzz_count = std::strtoull(next(), nullptr, 10);
+            fuzz_count = nextU64();
         } else if (arg == "--fuzz-seed") {
-            fuzz_seed = std::strtoull(next(), nullptr, 10);
+            fuzz_seed = nextU64();
         } else if (arg == "--fuzz-chaos") {
             chaos_profile = chaos::ChaosParams::profileByName(next());
         } else if (arg == "--corpus-dir") {
@@ -695,21 +414,21 @@ main(int argc, char **argv)
         } else if (arg == "--config") {
             config = next();
         } else if (arg == "--iterations") {
-            kp.iterations = std::strtoull(next(), nullptr, 10);
+            kp.iterations = nextU64();
         } else if (arg == "--seed") {
             // One run-level seed: the workload generator and (unless
             // --chaos-seed overrides) the fault schedule derive from
             // it.
-            run_seed = std::strtoull(next(), nullptr, 10);
+            run_seed = nextU64();
             kp.seed = run_seed;
         } else if (arg == "--chaos-seed") {
-            chaos_seed = std::strtoull(next(), nullptr, 10);
+            chaos_seed = nextU64();
         } else if (arg == "--chaos-profile") {
             chaos_profile = chaos::ChaosParams::profileByName(next());
         } else if (arg == "--check-invariants") {
             check_invariants = true;
         } else if (arg == "--chaos-sweep") {
-            sweep_seeds = std::strtoull(next(), nullptr, 10);
+            sweep_seeds = nextU64();
         } else if (arg == "--mutate") {
             mutation = chaos::mutationByName(next());
 #ifndef EDGE_MUTATIONS
@@ -717,10 +436,9 @@ main(int argc, char **argv)
                      "--mutate requires a build with EDGE_MUTATIONS=ON");
 #endif
         } else if (arg == "--mutate-node") {
-            mutation_node = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            mutation_node = static_cast<unsigned>(nextU64(UINT_MAX));
         } else if (arg == "--wall-deadline-ms") {
-            wall_deadline_ms = std::strtoull(next(), nullptr, 10);
+            wall_deadline_ms = nextU64();
         } else if (arg == "--engine") {
             bool ok = false;
             engine = core::engineByName(next(), &ok);
@@ -729,13 +447,6 @@ main(int argc, char **argv)
             repro_dir = next();
         } else if (arg == "--isolate") {
             isolate = true;
-        } else if (arg == "--submit") {
-            submit_to = next();
-        } else if (arg == "--submit-timeout-ms") {
-            submit_timeout_ms = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--submit-retries") {
-            submit_retries = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
         } else if (arg == "--journal-dir") {
             journal_dir = next();
             isolate = true;
@@ -743,25 +454,11 @@ main(int argc, char **argv)
             resume_path = next();
             isolate = true;
         } else if (arg == "--cell-timeout-ms") {
-            cell_timeout_ms = std::strtoull(next(), nullptr, 10);
+            cell_timeout_ms = nextU64();
         } else if (arg == "--rlimit-as-mb") {
-            rlimit_as_mb = std::strtoull(next(), nullptr, 10);
+            rlimit_as_mb = nextU64();
         } else if (arg == "--rlimit-cpu-sec") {
-            rlimit_cpu_sec = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--log-group-ms") {
-            log_opts.groupCommitMs = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--log-segment-mb") {
-            log_opts.segmentBytes =
-                std::strtoull(next(), nullptr, 10) * 1024 * 1024;
-        } else if (arg == "--log-chaos") {
-            fatal_if(!log::logCrashPointByName(next(),
-                                               &log_opts.chaos.point),
-                     "unknown log crash point '%s'", argv[i]);
-        } else if (arg == "--log-chaos-seed") {
-            log_opts.chaos.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--resume-threads") {
-            resume_threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            rlimit_cpu_sec = nextU64();
         } else if (arg == "--strict-provenance") {
             strict_provenance = true;
         } else if (arg == "--version") {
@@ -772,11 +469,10 @@ main(int argc, char **argv)
         } else if (arg == "--minimize") {
             minimize = true;
         } else if (arg == "-j") {
-            threads = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            threads = static_cast<unsigned>(nextU64(UINT_MAX));
         } else if (arg.size() > 2 && arg.compare(0, 2, "-j") == 0) {
             threads = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 2, nullptr, 10));
+                parseU64("-j", arg.substr(2), UINT_MAX));
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--set") {
@@ -784,9 +480,10 @@ main(int argc, char **argv)
             auto eq = kv.find('=');
             fatal_if(eq == std::string::npos,
                      "--set expects key=value");
+            const std::string key = kv.substr(0, eq);
             overrides.emplace_back(
-                kv.substr(0, eq),
-                std::strtoull(kv.c_str() + eq + 1, nullptr, 10));
+                key, parseU64("--set " + key, kv.substr(eq + 1),
+                              UINT_MAX));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -828,8 +525,6 @@ main(int argc, char **argv)
             so.journalPath =
                 journal_dir + "/" + campaign + ".journal";
         so.resume = !resume_path.empty();
-        so.logOptions = log_opts;
-        so.resumeThreads = resume_threads;
         return so;
     };
 
@@ -843,25 +538,6 @@ main(int argc, char **argv)
         fo.checkInvariants = check_invariants;
         fo.threads = threads;
         fo.corpusDir = corpus_dir;
-        if (!submit_to.empty()) {
-            // Remote campaign: same banner, same report printer —
-            // stdout is byte-identical to the local run. Corpus
-            // capture and minimization are local-only features.
-            fatal_if(!corpus_dir.empty() || minimize,
-                     "--submit campaigns cannot use --corpus-dir or "
-                     "--minimize (they need local repro files)");
-            fuzzHeader(fo);
-            fuzz::FuzzReport rep;
-            std::string err;
-            if (!serve::submitFuzz(submit_to, fo, &rep, &err,
-                                   submit_timeout_ms,
-                                   submit_retries))
-                fatal("--submit: %s", err.c_str());
-            if (rep.interrupted)
-                warn("campaign was interrupted on the coordinator; "
-                     "the report is partial");
-            return fuzzReportExit(rep, false, threads, nullptr);
-        }
         if (isolate) {
             super::installStopHandlers();
             super::Supervisor sup(supervisorOptions(strfmt(
@@ -911,29 +587,6 @@ main(int argc, char **argv)
         sp.threads = threads;
         sp.mutation = mutation;
         sp.mutationNode = mutation_node;
-        if (!submit_to.empty()) {
-            sim::ChaosSweepReport rep;
-            bool interrupted = false;
-            std::string err;
-            if (!serve::submitSweep(submit_to, sp, prog_ref, &rep,
-                                    &interrupted, &err,
-                                    submit_timeout_ms,
-                                    submit_retries))
-                fatal("--submit: %s", err.c_str());
-            if (!repro_dir.empty())
-                triage::captureSweepFailures(rep, prog_ref,
-                                             sp.maxCycles, repro_dir);
-            std::printf("%s / %s chaos sweep (%s):\n%s",
-                        kernel.c_str(), config.c_str(),
-                        chaos::profileName(sp.profile),
-                        rep.summary().c_str());
-            if (interrupted) {
-                warn("campaign was interrupted on the coordinator; "
-                     "the report is partial");
-                return 130;
-            }
-            return rep.allConverged() ? 0 : 3;
-        }
         if (isolate) {
             super::installStopHandlers();
             super::Supervisor sup(supervisorOptions(
