@@ -4,15 +4,18 @@
  * themselves (host-side performance, not simulated cycles): cache
  * timestamp accesses, mesh routing and send/deliver, sparse-memory
  * traffic, block construction + placement, functional reference
- * execution, and a full end-to-end simulated kernel. These guard
- * against accidental slowdowns of the simulator.
+ * execution, the LSQ's two hot paths (store resolution over a full
+ * window, policy-gated load issue), and a full end-to-end simulated
+ * kernel. These guard against accidental slowdowns of the simulator.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hh"
+#include "compiler/builder.hh"
 #include "compiler/placement.hh"
 #include "compiler/ref_executor.hh"
+#include "lsq/lsq.hh"
 #include "mem/cache.hh"
 #include "mem/sparse_memory.hh"
 #include "net/mesh.hh"
@@ -118,6 +121,116 @@ BM_RefExecutor(benchmark::State &state)
                             1000);
 }
 BENCHMARK(BM_RefExecutor);
+
+/**
+ * A full 16-frame LSQ window over blocks of 8 loads interleaved with
+ * 8 stores (LSID order ld, st, ld, st, ...), all aliasing a 64-word
+ * region. Each benchmark iteration maps the window, performs every
+ * load, resolves every store oldest first, then commits the window.
+ */
+struct LsqWindow
+{
+    static constexpr unsigned kFrames = 16;
+    static constexpr unsigned kPairs = 8;
+
+    LsqWindow(lsq::Recovery recovery, pred::DepPolicy dep_policy)
+        : hier(mem::HierarchyParams{}, stats),
+          policy(pred::makeDependencePredictor(dep_policy, nullptr, stats)),
+          queue(params(recovery), &hier, &memory, policy.get(),
+                stats, kFrames)
+    {
+        compiler::ProgramBuilder pb("lsq");
+        auto &b = pb.newBlock("pairs");
+        compiler::Val a = b.readReg(1);
+        for (unsigned i = 0; i < kPairs; ++i)
+            b.store(a, b.load(a, 8, 8 * i), 8, 8 * i);
+        b.branchHalt();
+        prog = std::make_unique<isa::Program>(pb.build());
+    }
+
+    static lsq::LsqParams
+    params(lsq::Recovery recovery)
+    {
+        lsq::LsqParams p;
+        p.recovery = recovery;
+        return p;
+    }
+
+    /** Run one window; `store_addr` picks each store's address. */
+    template <typename StoreAddr>
+    void
+    window(StoreAddr store_addr)
+    {
+        const isa::Block &blk = prog->block(0);
+        DynBlockSeq first = seq;
+        for (unsigned f = 0; f < kFrames; ++f, ++seq)
+            queue.mapBlock(seq, seq, 0, blk);
+        std::array<isa::Target, isa::kMaxTargets> tgts{};
+        tgts[0] = isa::Target::toOperand(1, 1);
+        for (DynBlockSeq s = first; s < seq; ++s) {
+            for (Lsid l = 0; l < 2 * kPairs; l += 2) {
+                Addr a = 0x1000 + 8 * ((s * 7 + l) % 64);
+                queue.loadRequest(now, s, l, a, ValState::Final, 1, 0,
+                                  tgts, l);
+            }
+        }
+        for (DynBlockSeq s = first; s < seq; ++s) {
+            for (Lsid l = 1; l < 2 * kPairs; l += 2) {
+                queue.storeResolve(++now, s, l, store_addr(s, l), s + l,
+                                   ValState::Final, ValState::Final, 1,
+                                   0);
+                queue.replies().clear();
+            }
+        }
+        for (DynBlockSeq s = first; s < seq; ++s)
+            queue.commitBlock(++now, s);
+    }
+
+    StatSet stats{"bm"};
+    mem::SparseMemory memory;
+    mem::Hierarchy hier;
+    std::unique_ptr<pred::DependencePredictor> policy;
+    lsq::LoadStoreQueue queue;
+    std::unique_ptr<isa::Program> prog;
+    DynBlockSeq seq = 1;
+    Cycle now = 0;
+};
+
+static void
+BM_LsqStoreResolveFullWindow(benchmark::State &state)
+{
+    // DSRE: every store lands under performed younger loads of the
+    // same 64-word region, so each resolve scans for victims, resends
+    // changed values and advances the commit wave.
+    LsqWindow w(lsq::Recovery::Dsre, pred::DepPolicy::Blind);
+    for (auto _ : state) {
+        w.window([](DynBlockSeq s, Lsid l) {
+            return 0x1000 + 8 * ((s * 5 + l) % 64);
+        });
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            LsqWindow::kFrames * LsqWindow::kPairs);
+}
+BENCHMARK(BM_LsqStoreResolveFullWindow);
+
+static void
+BM_LsqLoadIssueWithOlderUnresolved(benchmark::State &state)
+{
+    // Conservative issue: every load waits on all older unresolved
+    // stores, and each store resolve re-queries every waiting load.
+    // Stores go to a disjoint region, so nothing violates.
+    LsqWindow w(lsq::Recovery::Flush, pred::DepPolicy::Conservative);
+    for (auto _ : state) {
+        w.window([](DynBlockSeq s, Lsid l) {
+            return 0x8000 + 8 * ((s * 5 + l) % 64);
+        });
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            LsqWindow::kFrames * LsqWindow::kPairs);
+}
+BENCHMARK(BM_LsqLoadIssueWithOlderUnresolved);
 
 static void
 BM_EndToEndSimulatedKernel(benchmark::State &state)

@@ -21,11 +21,10 @@ setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on)
 
 } // namespace
 
-ExecNode::ExecNode(const CoreParams &params, NodeStats stats, SendFn send,
+ExecNode::ExecNode(const CoreParams &params, NodeStats stats,
                    chaos::ChaosEngine *chaos, unsigned node_index)
     : _p(params),
       _stats(stats),
-      _send(std::move(send)),
       _chaos(chaos),
       _nodeIndex(node_index),
       _numSlots(params.slotsPerNode * params.numFrames),
@@ -290,7 +289,7 @@ ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
         ++_sendCount[rs];
         done = std::max(done, _lastSendWhen[rs]);
         _lastSendWhen[rs] = done;
-        _send(makeEvent(done, rs, value, state, depth));
+        _events.push_back(makeEvent(done, rs, value, state, depth));
     }
 }
 
@@ -325,7 +324,7 @@ ExecNode::upgrade(Cycle now, unsigned rs)
         NodeEvent ev = makeEvent(when, rs, _lastData[rs], ds, depth);
         ev.addr = _lastValue[rs];
         ev.statusOnly = true;
-        _send(ev);
+        _events.push_back(ev);
         return;
     }
 
@@ -342,7 +341,7 @@ ExecNode::upgrade(Cycle now, unsigned rs)
     if (ev.kind == NodeEvent::Kind::LoadRequest)
         ev.addr = _lastValue[rs]; // lastValue holds the address key
     ev.statusOnly = true;
-    _send(ev);
+    _events.push_back(ev);
 }
 
 bool

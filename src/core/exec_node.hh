@@ -26,7 +26,6 @@
 #define EDGE_CORE_EXEC_NODE_HH
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "chaos/chaos.hh"
@@ -75,15 +74,13 @@ struct NodeStats
 class ExecNode
 {
   public:
-    using SendFn = std::function<void(const NodeEvent &)>;
-
     /**
      * @param chaos optional fault injector (not owned); only its
      *        compile-time-gated protocol *mutations* apply here
      * @param node_index this node's flat grid index, matched against
      *        ChaosParams::mutationNode
      */
-    ExecNode(const CoreParams &params, NodeStats stats, SendFn send,
+    ExecNode(const CoreParams &params, NodeStats stats,
              chaos::ChaosEngine *chaos = nullptr,
              unsigned node_index = 0);
 
@@ -107,6 +104,12 @@ class ExecNode
      * @return true iff any slot issued (the node did work)
      */
     bool tick(Cycle now);
+
+    /**
+     * Events issued since the owner last cleared this list, in issue
+     * order; the processor routes them after each tick().
+     */
+    std::vector<NodeEvent> &events() { return _events; }
 
     /**
      * True if tick(now) would issue anything — i.e. some slot wants
@@ -152,7 +155,7 @@ class ExecNode
 
     const CoreParams &_p;
     NodeStats _stats;
-    SendFn _send;
+    std::vector<NodeEvent> _events;
     chaos::ChaosEngine *_chaos;
     unsigned _nodeIndex;
     unsigned _numSlots; ///< slotsPerNode * numFrames

@@ -100,15 +100,12 @@ Processor::Processor(const MachineConfig &config,
     _policy = pred::makeDependencePredictor(_cfg.policy, oracle, stats);
     _nbp = std::make_unique<pred::NextBlockPredictor>(_cfg.nbp, stats);
 
-    _regs = std::make_unique<RegUnit>(
-        _cfg.core, program.initRegs(), stats,
-        [this](const RegForward &f) { routeRegForward(f); });
+    _regs = std::make_unique<RegUnit>(_cfg.core, program.initRegs(),
+                                      stats);
 
     _lsq = std::make_unique<lsq::LoadStoreQueue>(
         _cfg.lsq, _hier.get(), &_dmem, _policy.get(), stats,
-        [this](const lsq::LoadReply &r) { routeLoadReply(r); },
-        [this](const lsq::Violation &v) { onViolation(v); },
-        _chaos.get(), _check.get());
+        _cfg.core.numFrames, _chaos.get(), _check.get());
 
     NodeStats ns{
         stats.counter("core.alu_issues", "ALU issues (all executions)"),
@@ -119,10 +116,8 @@ Processor::Processor(const MachineConfig &config,
                         "propagation depth of re-executions"),
     };
     for (unsigned n = 0; n < _cfg.core.numNodes(); ++n) {
-        _nodes.push_back(std::make_unique<ExecNode>(
-            _cfg.core, ns,
-            [this, n](const NodeEvent &ev) { routeNodeEvent(ev, n); },
-            _chaos.get(), n));
+        _nodes.push_back(
+            std::make_unique<ExecNode>(_cfg.core, ns, _chaos.get(), n));
     }
 
     for (unsigned f = 0; f < _cfg.core.numFrames; ++f)
@@ -274,20 +269,40 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
     }
 }
 
-void
-Processor::routeLoadReply(const lsq::LoadReply &reply)
+bool
+Processor::tickNode(unsigned node)
 {
-    sendToTargets(reply.when, lsqCoord(reply.addr), reply.seq,
-                  reply.targets, reply.value, reply.state, reply.wave,
-                  reply.depth, reply.statusOnly, reply.echo);
+    bool issued = _nodes[node]->tick(_cycle);
+    std::vector<NodeEvent> &events = _nodes[node]->events();
+    for (const NodeEvent &ev : events)
+        routeNodeEvent(ev, node);
+    events.clear();
+    return issued;
 }
 
 void
-Processor::routeRegForward(const RegForward &fwd)
+Processor::drainLsq()
 {
-    sendToTargets(fwd.when, rfCoord(fwd.reg), fwd.readerSeq, fwd.targets,
-                  fwd.value, fwd.state, fwd.wave, fwd.depth,
-                  fwd.statusOnly, false);
+    for (const lsq::LoadReply &r : _lsq->replies()) {
+        sendToTargets(r.when, lsqCoord(r.addr), r.seq, r.targets,
+                      r.value, r.state, r.wave, r.depth, r.statusOnly,
+                      r.echo);
+    }
+    _lsq->replies().clear();
+    for (const lsq::Violation &v : _lsq->flushRequests())
+        onViolation(v);
+    _lsq->flushRequests().clear();
+}
+
+void
+Processor::drainRegs()
+{
+    for (const RegForward &f : _regs->forwards()) {
+        sendToTargets(f.when, rfCoord(f.reg), f.readerSeq, f.targets,
+                      f.value, f.state, f.wave, f.depth, f.statusOnly,
+                      false);
+    }
+    _regs->forwards().clear();
 }
 
 void
@@ -346,15 +361,18 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
       case Msg::Kind::WriteVal:
         _regs->writeArrived(now, msg.seq, msg.writeIdx, msg.value,
                             msg.state, msg.wave, msg.depth);
+        drainRegs();
         return;
       case Msg::Kind::LoadReq:
         _lsq->loadRequest(now, msg.seq, msg.lsid, msg.addr, msg.state,
                           msg.wave, msg.depth, msg.targets, msg.slot);
+        drainLsq();
         return;
       case Msg::Kind::StoreResolve:
         _lsq->storeResolve(now, msg.seq, msg.lsid, msg.addr, msg.value,
                            msg.addrState, msg.state, msg.wave,
                            msg.depth);
+        drainLsq();
         return;
       case Msg::Kind::ExitVal:
         handleExit(now, msg);
@@ -410,6 +428,7 @@ void
 Processor::onViolation(const lsq::Violation &violation)
 {
     // Only flush recovery routes violations here (DSRE re-sends).
+    // The LSQ already squashed its own part of the window.
     BlockCtx *ctx = findCtx(violation.loadSeq);
     if (!ctx)
         return; // already squashed by an earlier violation
@@ -419,12 +438,12 @@ Processor::onViolation(const lsq::Violation &violation)
     BlockId blk = ctx->blockId;
     std::uint64_t arch_idx = ctx->archIdx;
     _nbp->restoreHistory(ctx->historySnapshot);
-    flushFrom(violation.loadSeq);
+    flushFrom(violation.loadSeq, true);
     redirectFetch(blk, arch_idx);
 }
 
 void
-Processor::flushFrom(DynBlockSeq from_seq)
+Processor::flushFrom(DynBlockSeq from_seq, bool lsq_flushed)
 {
     _trace.push({_cycle, chaos::TraceEvent::Kind::Flush, from_seq});
     while (!_inflight.empty() && _inflight.back().seq >= from_seq) {
@@ -434,7 +453,8 @@ Processor::flushFrom(DynBlockSeq from_seq)
         _freeFrames.push_back(ctx.frame);
         _inflight.pop_back();
     }
-    _lsq->flushFrom(from_seq);
+    if (!lsq_flushed)
+        _lsq->flushFrom(from_seq);
     _regs->flushFrom(from_seq);
     _fetchBusy = false; // cancel any in-progress fetch
     _fetchHalted = false;
@@ -528,6 +548,7 @@ Processor::mapFetchedBlock(Cycle now)
     ++_statFetchedBlocks;
     _lsq->mapBlock(seq, _inflight.back().archIdx, bid, b);
     _regs->mapBlock(now, seq, b);
+    drainRegs();
 
     if (succ == isa::kHaltBlock)
         _fetchHalted = true;
@@ -743,8 +764,8 @@ Processor::runTick(Cycle max_cycles, Result &res)
         _gcn->deliver(_cycle, [this](net::Coord, Msg &&m) {
             deliverMsg(_cycle, m);
         });
-        for (auto &node : _nodes)
-            node->tick(_cycle);
+        for (unsigned n = 0; n < _nodes.size(); ++n)
+            tickNode(n);
         fetchTick(_cycle);
         commitTick(_cycle);
         if (_cycle - _lastCommit > _cfg.core.watchdogCycles) {
@@ -795,9 +816,9 @@ Processor::runEvent(Cycle max_cycles, Result &res)
             active = true;
             deliverMsg(_cycle, m);
         });
-        for (auto &node : _nodes)
-            if (node->hasWork())
-                active |= node->tick(_cycle);
+        for (unsigned n = 0; n < _nodes.size(); ++n)
+            if (_nodes[n]->hasWork())
+                active |= tickNode(n);
         if (fetchTick(_cycle))
             active = true;
         if (_fetchBusy)

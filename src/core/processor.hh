@@ -197,8 +197,16 @@ class Processor
     void deliverMsg(Cycle now, const Msg &msg);
     void handleExit(Cycle now, const Msg &msg);
     void routeNodeEvent(const NodeEvent &ev, unsigned node);
-    void routeLoadReply(const lsq::LoadReply &reply);
-    void routeRegForward(const RegForward &fwd);
+    /** Tick one node, then route the events it issued, in order. */
+    bool tickNode(unsigned node);
+    /**
+     * Route the LSQ's replies in emission order, then recover from
+     * its flush requests; called after every LSQ entry point that
+     * can emit them.
+     */
+    void drainLsq();
+    /** Route the register unit's forwards in emission order. */
+    void drainRegs();
     void sendToTargets(Cycle when, net::Coord src, DynBlockSeq seq,
                        const std::array<isa::Target, isa::kMaxTargets>
                            &targets,
@@ -227,8 +235,11 @@ class Processor
     void runTick(Cycle max_cycles, Result &res);
     void runEvent(Cycle max_cycles, Result &res);
 
-    /** Squash every block with seq >= from_seq. */
-    void flushFrom(DynBlockSeq from_seq);
+    /**
+     * Squash every block with seq >= from_seq; `lsq_flushed` when the
+     * LSQ already squashed its part (a flush-recovery violation).
+     */
+    void flushFrom(DynBlockSeq from_seq, bool lsq_flushed = false);
 
     /** Redirect fetch to the given block / architectural index. */
     void redirectFetch(BlockId next, std::uint64_t arch_idx);

@@ -7,12 +7,10 @@
 namespace edge::core {
 
 RegUnit::RegUnit(const CoreParams &params,
-                 const std::vector<Word> &init_regs, StatSet &stats,
-                 ForwardFn forward)
+                 const std::vector<Word> &init_regs, StatSet &stats)
     : _p(params),
       _regs(init_regs),
       _bankFree(params.cols, 0),
-      _forward(std::move(forward)),
       _archReads(stats.counter("regs.arch_reads",
                                "reads satisfied from the committed RF")),
       _forwardReads(stats.counter(
@@ -39,7 +37,7 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
                    ValState state, std::uint16_t depth,
                    bool status_only)
 {
-    RegForward f;
+    RegForward &f = _forwards.emplace_back();
     // Status-only forwards ride the status network and do not
     // occupy a register-file data port; either way a later forward
     // (commit wave) may not overtake an earlier one on this link.
@@ -55,7 +53,6 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
     f.wave = ++sub.wave;
     f.depth = depth;
     f.targets = sub.targets;
-    _forward(f);
 }
 
 void

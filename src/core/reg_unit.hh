@@ -12,7 +12,6 @@
 #ifndef EDGE_CORE_REG_UNIT_HH
 #define EDGE_CORE_REG_UNIT_HH
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -39,10 +38,8 @@ struct RegForward
 class RegUnit
 {
   public:
-    using ForwardFn = std::function<void(const RegForward &)>;
-
     RegUnit(const CoreParams &params, const std::vector<Word> &init_regs,
-            StatSet &stats, ForwardFn forward);
+            StatSet &stats);
 
     /**
      * A block entered the window: resolve every register read
@@ -67,6 +64,13 @@ class RegUnit
     const std::vector<Word> &archRegs() const { return _regs; }
 
     std::size_t numBlocks() const { return _blocks.size(); }
+
+    /**
+     * Forwards emitted since the owner last cleared this list, in
+     * emission order; the processor routes them after each mapBlock
+     * and writeArrived.
+     */
+    std::vector<RegForward> &forwards() { return _forwards; }
 
   private:
     struct WriteSlot
@@ -108,7 +112,7 @@ class RegUnit
     std::map<DynBlockSeq, BlockRegs> _blocks;
     std::vector<Cycle> _bankFree;
 
-    ForwardFn _forward;
+    std::vector<RegForward> _forwards;
     Counter &_archReads;
     Counter &_forwardReads;
     Counter &_rewrites;

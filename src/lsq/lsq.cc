@@ -24,8 +24,7 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
                                mem::Hierarchy *hierarchy,
                                mem::SparseMemory *memory,
                                pred::DependencePredictor *policy,
-                               StatSet &stats, ReplyFn reply,
-                               ViolationFn violation,
+                               StatSet &stats, unsigned num_frames,
                                chaos::ChaosEngine *chaos,
                                chaos::InvariantChecker *check)
     : _p(params),
@@ -33,10 +32,9 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
       _hier(hierarchy),
       _mem(memory),
       _policy(policy),
-      _reply(std::move(reply)),
-      _violation(std::move(violation)),
       _chaos(chaos),
       _check(check),
+      _ring(num_frames),
       _bankFree(hierarchy->params().numDBanks, 0),
       _loads(stats.counter("lsq.loads", "loads performed")),
       _stores(stats.counter("lsq.stores", "stores resolved")),
@@ -66,38 +64,72 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
           "lsq.violation_distance",
           "blocks between conflicting store and load"))
 {
+    fatal_if(num_frames > 2048, "LSQ window of %u frames exceeds 2048",
+             num_frames);
     fatal_if(_p.valuePredictMisses && !_spec,
              "miss value prediction needs DSRE recovery to correct "
              "wrong predictions");
     if (_p.valuePredictMisses)
         _vpTable.assign(_p.vpTableSize, VpEntry{});
+    // About four buckets per op the window can hold.
+    _index.resize(std::bit_ceil(num_frames * isa::kMaxBlockMemOps * 4));
+    _indexMask = _index.size() - 1;
 }
 
-LoadStoreQueue::MemEntry &
-LoadStoreQueue::entry(MemKey key)
+LoadStoreQueue::Block *
+LoadStoreQueue::findBlock(DynBlockSeq seq) const
 {
-    auto it = _blocks.find(key.first);
-    panic_if(it == _blocks.end(), "no LSQ block for seq %llu",
-             static_cast<unsigned long long>(key.first));
-    panic_if(key.second >= it->second.ops.size(),
-             "LSID %u out of range", key.second);
-    return it->second.ops[key.second];
+    for (unsigned a = 0; a < _count; ++a)
+        if (at(a).seq == seq)
+            return &at(a);
+    return nullptr;
 }
 
-const LoadStoreQueue::MemEntry *
-LoadStoreQueue::find(MemKey key) const
+void
+LoadStoreQueue::index(const Block &b, Lsid lsid, bool add)
 {
-    auto it = _blocks.find(key.first);
-    if (it == _blocks.end() || key.second >= it->second.ops.size())
-        return nullptr;
-    return &it->second.ops[key.second];
+    const MemEntry &e = b.entries[lsid];
+    auto id = static_cast<std::uint16_t>((&b - _ring.data()) << 5 | lsid);
+    forBuckets(e.addr, e.bytes, [&](std::vector<std::uint16_t> &bucket) {
+        if (add) {
+            bucket.push_back(id);
+            return;
+        }
+        auto it = std::find(bucket.begin(), bucket.end(), id);
+        panic_if(it == bucket.end(), "LSQ address index lost an op");
+        *it = bucket.back();
+        bucket.pop_back();
+    });
 }
 
-BlockId
-LoadStoreQueue::blockIdOf(DynBlockSeq seq) const
+void
+LoadStoreQueue::unindexBlock(const Block &b)
 {
-    auto it = _blocks.find(seq);
-    return it == _blocks.end() ? kInvalidBlock : it->second.blockId;
+    for (Mask m = (b.stores & ~b.unresolved) | b.performed; m; m &= m - 1)
+        index(b, low(m), false);
+}
+
+void
+LoadStoreQueue::gather(Addr addr, unsigned bytes,
+                       std::vector<std::uint32_t> &out) const
+{
+    forBuckets(addr, bytes, [&](const std::vector<std::uint16_t> &bucket) {
+        for (std::uint16_t id : bucket)
+            out.push_back(ageKey(_ring[id >> 5], id & 31));
+    });
+    // An op on both words, or two words sharing a bucket, repeats.
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+LoadReply &
+LoadStoreQueue::emitReply(Block &b, Lsid lsid, Cycle when, Word value,
+                          ValState state, std::uint16_t depth)
+{
+    MemEntry &e = b.entries[lsid];
+    return _replies.emplace_back(LoadReply{
+        when, e.addr, b.seq, e.slot, lsid, value, state, ++e.replyWave,
+        depth, false, false, e.targets});
 }
 
 Cycle
@@ -113,58 +145,58 @@ void
 LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
                          BlockId block_id, const isa::Block &block)
 {
-    panic_if(_blocks.count(seq), "block seq %llu mapped twice",
+    panic_if(_count == _ring.size(), "LSQ window full at seq %llu",
              static_cast<unsigned long long>(seq));
-    BlockEntry be;
-    be.archIdx = arch_idx;
-    be.blockId = block_id;
-    be.ops.resize(block.numMemOps());
+    panic_if(_count != 0 && at(_count - 1).seq >= seq,
+             "block seq %llu mapped twice or out of order",
+             static_cast<unsigned long long>(seq));
+    Block &b = at(_count);
+    auto ops = static_cast<Mask>((std::uint64_t{1} << block.numMemOps()) - 1);
+    b = Block{seq, arch_idx, block_id, ops, 0, 0, 0, 0, 0, 0, 0, {}};
     for (std::size_t s = 0; s < block.insts().size(); ++s) {
         const auto &in = block.insts()[s];
         if (!isa::isMem(in.op))
             continue;
-        MemEntry &e = be.ops[in.lsid];
-        e.isStore = isa::isStore(in.op);
+        MemEntry &e = b.entries[in.lsid];
+        bool is_store = isa::isStore(in.op);
         e.bytes = isa::opInfo(in.op).accessBytes;
         e.slot = static_cast<SlotId>(s);
-        if (e.isStore) {
-            if (_spec)
-                _nonFinalStores.insert({seq, in.lsid});
+        if (is_store) {
+            b.stores |= bit(in.lsid);
             _policy->onStoreMapped(seq, block_id, in.lsid);
         } else {
             e.dep = _policy->onLoadMapped(seq, block_id, in.lsid);
         }
         if (_check)
-            _check->onMemOpMapped(seq, in.lsid, e.isStore, e.bytes);
+            _check->onMemOpMapped(seq, in.lsid, is_store, e.bytes);
     }
-    _blocks.emplace(seq, std::move(be));
+    b.unresolved = b.stores;
+    b.specAddr = b.specData = _spec ? b.stores : 0;
+    ++_count;
 }
 
 const std::vector<pred::UnresolvedStore> &
-LoadStoreQueue::olderUnresolved(MemKey key) const
+LoadStoreQueue::olderUnresolved(const Block &b, Lsid lsid) const
 {
-    std::vector<pred::UnresolvedStore> &out = _olderScratch;
-    out.clear();
-    for (const auto &[seq, be] : _blocks) {
-        if (seq > key.first)
-            break;
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            if (seq == key.first && l >= key.second)
-                break;
-            const MemEntry &e = be.ops[l];
-            if (e.isStore && !e.resolved)
-                out.push_back({seq, be.archIdx, be.blockId, l});
-        }
+    _olderScratch.clear();
+    for (unsigned a = 0;; ++a) {
+        const Block &o = at(a);
+        Mask m = &o == &b ? o.unresolved & below(lsid) : o.unresolved;
+        for (; m; m &= m - 1)
+            _olderScratch.push_back({o.seq, o.archIdx, o.blockId, low(m)});
+        if (&o == &b)
+            return _olderScratch;
     }
-    return out;
 }
 
 Word
-LoadStoreQueue::computeLoadValue(MemKey key, const MemEntry &e) const
+LoadStoreQueue::computeLoadValue(const Block &b, Lsid lsid,
+                                 bool *from_mem) const
 {
     // Start from architectural memory, then overlay every resolved
-    // older store in ascending (seq, lsid) order so the youngest
-    // writer of each byte wins.
+    // older store on the load's words in ascending (seq, lsid) order
+    // so the youngest writer of each byte wins.
+    const MemEntry &e = b.entries[lsid];
     Word value = _mem->read(e.addr, e.bytes);
 #ifdef EDGE_MUTATIONS
     // Deliberate protocol mutation: forward each byte from the
@@ -175,58 +207,71 @@ LoadStoreQueue::computeLoadValue(MemKey key, const MemEntry &e) const
         _chaos->mutation() == chaos::Mutation::MisorderForward;
     std::array<bool, kWordBytes> written{};
 #endif
-    for (const auto &[seq, be] : _blocks) {
-        if (seq > key.first)
+    unsigned covered = 0; // bytes some older store writes
+    std::uint32_t self = ageKey(b, lsid);
+    _valueKeys.clear();
+    gather(e.addr, e.bytes, _valueKeys);
+    for (std::uint32_t key : _valueKeys) {
+        if (key >= self)
             break;
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            if (seq == key.first && l >= key.second)
-                break;
-            const MemEntry &st = be.ops[l];
-            if (!st.isStore || !st.resolved)
+        const Block &sb = at(key >> 5);
+        if (!(sb.stores & bit(key & 31)))
+            continue;
+        const MemEntry &st = sb.entries[key & 31];
+        if (!rangesOverlap(st.addr, st.bytes, e.addr, e.bytes))
+            continue;
+        for (unsigned i = 0; i < e.bytes; ++i) {
+            Addr a = e.addr + i;
+            if (a < st.addr || a >= st.addr + st.bytes)
                 continue;
-            if (!rangesOverlap(st.addr, st.bytes, e.addr, e.bytes))
-                continue;
-            for (unsigned i = 0; i < e.bytes; ++i) {
-                Addr a = e.addr + i;
-                if (a < st.addr || a >= st.addr + st.bytes)
-                    continue;
+            covered |= 1u << i;
 #ifdef EDGE_MUTATIONS
-                if (oldest_wins && written[i])
-                    continue;
-                written[i] = true;
+            if (oldest_wins && written[i])
+                continue;
+            written[i] = true;
 #endif
-                unsigned si = static_cast<unsigned>(a - st.addr);
-                Word byte = (st.data >> (8 * si)) & 0xff;
-                value &= ~(Word{0xff} << (8 * i));
-                value |= byte << (8 * i);
-            }
+            unsigned si = static_cast<unsigned>(a - st.addr);
+            Word byte = (st.data >> (8 * si)) & 0xff;
+            value &= ~(Word{0xff} << (8 * i));
+            value |= byte << (8 * i);
         }
     }
+    if (from_mem)
+        *from_mem = covered != (1u << e.bytes) - 1;
     return value;
 }
 
 bool
-LoadStoreQueue::loadIsFinal(MemKey key, const MemEntry &e) const
+LoadStoreQueue::loadIsFinal(const Block &b, Lsid lsid) const
 {
     if (!_spec)
         return true;
+    const MemEntry &e = b.entries[lsid];
     if (e.addrState != ValState::Final)
         return false;
     // A load is final when no older store can still change it:
     // every older store must be resolved with a Final address, and
-    // the ones that actually overlap must have Final data too.
-    for (auto it = _nonFinalStores.begin();
-         it != _nonFinalStores.end() && *it < key; ++it) {
-        const MemEntry *st = find(*it);
-        panic_if(!st, "stale non-final store key");
-        if (!st->resolved || st->addrSt != ValState::Final)
+    // the ones that actually overlap (all on the load's words) must
+    // have Final data too.
+    for (unsigned a = 0;; ++a) {
+        const Block &o = at(a);
+        if (o.specAddr & (&o == &b ? below(lsid) : ~Mask{0}))
             return false;
-        if (rangesOverlap(st->addr, st->bytes, e.addr, e.bytes) &&
-            st->state != ValState::Final) {
-            return false;
-        }
+        if (&o == &b)
+            break;
     }
-    return true;
+    std::uint32_t self = ageKey(b, lsid);
+    bool spec_overlap = false;
+    forBuckets(e.addr, e.bytes, [&](const std::vector<std::uint16_t> &bk) {
+        for (std::uint16_t id : bk) {
+            const Block &o = _ring[id >> 5];
+            auto l = static_cast<Lsid>(id & 31);
+            const MemEntry &st = o.entries[l];
+            spec_overlap |= (o.specData & bit(l)) && ageKey(o, l) < self &&
+                            rangesOverlap(st.addr, st.bytes, e.addr, e.bytes);
+        }
+    });
+    return !spec_overlap;
 }
 
 void
@@ -236,20 +281,26 @@ LoadStoreQueue::loadRequest(
     const std::array<isa::Target, isa::kMaxTargets> &targets,
     SlotId slot)
 {
-    auto bit = _blocks.find(seq);
-    if (bit == _blocks.end())
+    Block *bp = findBlock(seq);
+    if (!bp)
         return; // flushed block: stale message, drop
-    MemKey key{seq, lsid};
-    MemEntry &e = entry(key);
-    panic_if(e.isStore, "load request for a store LSID");
+    Block &b = *bp;
+    panic_if(!(b.ops & bit(lsid)), "LSID %u out of range", lsid);
+    panic_if(b.stores & bit(lsid), "load request for a store LSID");
+    MemEntry &e = b.entries[lsid];
 
     if (e.addrKnown && wave <= e.inWave)
         return; // stale (reordered) request
     e.inWave = wave;
 
     bool addr_changed = e.addrKnown && e.addr != addr;
+    bool performed = b.performed & bit(lsid);
+    if (performed && addr_changed)
+        index(b, lsid, false);
     e.addrKnown = true;
     e.addr = addr;
+    if (performed && addr_changed)
+        index(b, lsid, true);
     // Monotonic: a Final address never goes back to Spec.
     if (addr_state == ValState::Final)
         e.addrState = ValState::Final;
@@ -264,19 +315,19 @@ LoadStoreQueue::loadRequest(
     if (_check)
         _check->onLoadAddr(seq, lsid, e.addr, e.addrState);
 
-    if (!e.performed) {
-        if (e.waiting && !addr_changed) {
+    if (!performed) {
+        if ((b.waiting & bit(lsid)) && !addr_changed) {
             // Address state upgrade while held: nothing to do yet.
             return;
         }
-        tryIssueLoad(now, key, e);
+        tryIssueLoad(now, b, lsid);
         return;
     }
 
     // Re-execution of the load's address (a DSRE wave upstream) or
     // an address state upgrade: recompute and resend as needed.
-    Word v = computeLoadValue(key, e);
-    bool final_now = loadIsFinal(key, e);
+    Word v = computeLoadValue(b, lsid);
+    bool final_now = loadIsFinal(b, lsid);
     if (v != e.lastValue) {
         if (final_now) {
             // A final correction is mandatory: this may be the last
@@ -284,8 +335,7 @@ LoadStoreQueue::loadRequest(
             // the resend budget (it IS the commit wave).
             e.deferred = false;
             ++_resends;
-            performLoad(now, key, e, true, depth);
-            _specLoads.erase(key);
+            performLoad(now, b, lsid, true, depth);
             return;
         }
         if (_p.maxResendsPerLoad != 0 &&
@@ -296,90 +346,54 @@ LoadStoreQueue::loadRequest(
         }
         ++e.resends;
         ++_resends;
-        performLoad(now, key, e, true, depth);
+        performLoad(now, b, lsid, true, depth);
     } else if (final_now && e.lastState != ValState::Final) {
         ++_upgrades;
         e.deferred = false;
-        performLoad(now, key, e, true, depth);
-        _specLoads.erase(key);
+        performLoad(now, b, lsid, true, depth);
     }
 }
 
 void
-LoadStoreQueue::tryIssueLoad(Cycle now, MemKey key, MemEntry &e)
+LoadStoreQueue::tryIssueLoad(Cycle now, Block &b, Lsid lsid)
 {
-    auto &be = _blocks.at(key.first);
+    MemEntry &e = b.entries[lsid];
     const std::vector<pred::UnresolvedStore> &older =
-        olderUnresolved(key);
-    pred::LoadQuery q;
-    q.seq = key.first;
-    q.archIdx = be.archIdx;
-    q.block = be.blockId;
-    q.lsid = key.second;
-    q.addr = e.addr;
-    q.bytes = e.bytes;
-    q.olderUnresolved = &older;
-    q.dep = e.dep;
-    auto hold_key = std::make_pair(be.archIdx, key.second);
-    if (_replayHolds.count(hold_key)) {
-        if (!older.empty()) {
-            if (!e.waiting) {
-                e.waiting = true;
-                ++_replayWaits;
-                _waitingLoads.insert(key);
-            }
-            return;
-        }
-        _replayHolds.erase(hold_key);
+        olderUnresolved(b, lsid);
+    pred::LoadQuery q{b.seq,  b.archIdx, b.blockId, lsid,
+                      e.addr, e.bytes,   &older,    e.dep};
+    // A replay hold waits for every older store, then expires.
+    auto hold_key = std::make_pair(b.archIdx, lsid);
+    bool replay_wait = false;
+    if (!_replayHolds.empty() && _replayHolds.count(hold_key)) {
+        replay_wait = !older.empty();
+        if (!replay_wait)
+            _replayHolds.erase(hold_key);
     }
-    if (_policy->loadMustWait(q)) {
-        if (!e.waiting) {
-            e.waiting = true;
-            ++_policyHolds;
-            _waitingLoads.insert(key);
+    if (replay_wait || _policy->loadMustWait(q)) {
+        if (!(b.waiting & bit(lsid))) {
+            b.waiting |= bit(lsid);
+            ++(replay_wait ? _replayWaits : _policyHolds);
         }
         return;
     }
-    if (e.waiting) {
-        e.waiting = false;
-        _waitingLoads.erase(key);
-    }
-    performLoad(now, key, e, false, e.depth);
+    b.waiting &= ~bit(lsid);
+    performLoad(now, b, lsid, false, e.depth);
 }
 
 void
-LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
+LoadStoreQueue::performLoad(Cycle now, Block &b, Lsid lsid,
                             bool is_resend, std::uint16_t depth)
 {
-    Word value = computeLoadValue(key, e);
-    bool final_now = loadIsFinal(key, e);
-    // Commit-wave upgrades carry the same value: the LSQ re-sends it
-    // without re-accessing the data cache.
-    bool value_unchanged = e.performed && value == e.lastValue;
-
+    MemEntry &e = b.entries[lsid];
     // Does any byte come from memory (vs pure store forwarding)?
     bool any_from_mem = false;
-    {
-        std::array<bool, 8> covered{};
-        for (const auto &[seq, be] : _blocks) {
-            if (seq > key.first)
-                break;
-            for (Lsid l = 0; l < be.ops.size(); ++l) {
-                if (seq == key.first && l >= key.second)
-                    break;
-                const MemEntry &st = be.ops[l];
-                if (!st.isStore || !st.resolved)
-                    continue;
-                for (unsigned i = 0; i < e.bytes; ++i) {
-                    Addr a = e.addr + i;
-                    if (a >= st.addr && a < st.addr + st.bytes)
-                        covered[i] = true;
-                }
-            }
-        }
-        for (unsigned i = 0; i < e.bytes; ++i)
-            any_from_mem = any_from_mem || !covered[i];
-    }
+    Word value = computeLoadValue(b, lsid, &any_from_mem);
+    bool final_now = loadIsFinal(b, lsid);
+    bool performed = b.performed & bit(lsid);
+    // Commit-wave upgrades carry the same value: the LSQ re-sends it
+    // without re-accessing the data cache.
+    bool value_unchanged = performed && value == e.lastValue;
 
     Cycle done;
     bool predicted_early = false;
@@ -397,7 +411,7 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
         // Value-prediction extension: on a long miss, reply with the
         // last value seen at this address immediately; the real
         // value follows as a second wave of the same DSRE protocol.
-        if (_p.valuePredictMisses && !is_resend && !e.performed &&
+        if (_p.valuePredictMisses && !is_resend && !performed &&
             done > fast + _p.vpLatencyThreshold) {
             VpEntry &ve =
                 _vpTable[(e.addr >> 3) % _vpTable.size()];
@@ -405,23 +419,13 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
             ++_vpPredictions;
             if (guess == value)
                 ++_vpCorrect;
-            LoadReply pr;
-            pr.when = std::max(fast, e.lastReplyWhen);
-            pr.addr = e.addr;
-            pr.seq = key.first;
-            pr.slot = e.slot;
-            pr.lsid = key.second;
-            pr.value = guess;
-            pr.state = ValState::Spec; // a guess is never final
-            pr.wave = ++e.replyWave;
-            pr.depth = depth;
-            // A confirmation (guess == real value) deliberately
-            // repeats the value on the next wave; exempt it from the
-            // value-identity-squash invariant.
-            pr.echo = true;
-            pr.targets = e.targets;
-            _reply(pr);
-            e.lastReplyWhen = pr.when;
+            // A guess is never final. A confirmation (guess == real
+            // value) deliberately repeats the value on the next wave;
+            // exempt it from the value-identity-squash invariant.
+            e.lastReplyWhen = std::max(fast, e.lastReplyWhen);
+            emitReply(b, lsid, e.lastReplyWhen, guess, ValState::Spec,
+                      depth)
+                .echo = true;
             predicted_early = true;
             // The real reply below corrects (or confirms) it; when
             // it merely confirms, it travels as a status upgrade.
@@ -432,7 +436,7 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
     // the same link: the commit wave trails the data it confirms.
     done = std::max(done, e.lastReplyWhen);
     e.lastReplyWhen = done;
-    if (!any_from_mem && !e.performed && !predicted_early)
+    if (!any_from_mem && !performed && !predicted_early)
         ++_forwards;
 
     // Train the last-value table with the true value.
@@ -442,34 +446,23 @@ LoadStoreQueue::performLoad(Cycle now, MemKey key, MemEntry &e,
         ve.value = value;
     }
 
-    if (!e.performed)
+    if (!performed) {
         ++_loads;
-    e.performed = true;
+        b.performed |= bit(lsid);
+        index(b, lsid, true);
+    }
     e.lastValue = value;
     e.lastState = final_now ? ValState::Final : ValState::Spec;
-    if (_spec) {
-        if (final_now)
-            _specLoads.erase(key);
-        else
-            _specLoads.insert(key);
-    }
+    if (_spec)
+        b.spec = final_now ? b.spec & ~bit(lsid) : b.spec | bit(lsid);
 
-    LoadReply r;
-    r.when = done;
-    r.addr = e.addr;
-    r.seq = key.first;
-    r.slot = e.slot;
-    r.lsid = key.second;
-    r.value = value;
-    r.state = e.lastState;
-    r.wave = ++e.replyWave;
-    r.depth = static_cast<std::uint16_t>(is_resend ? depth + 1 : depth);
+    LoadReply &r = emitReply(
+        b, lsid, done, value, e.lastState,
+        static_cast<std::uint16_t>(is_resend ? depth + 1 : depth));
     r.statusOnly = value_unchanged;
-    r.targets = e.targets;
     if (_check)
         _check->onLoadReply(r.when, r.seq, r.lsid, r.value, r.state,
                             r.echo);
-    _reply(r);
 }
 
 void
@@ -483,14 +476,16 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
     if (_chaos)
         now += _chaos->storeResolveDelay();
 
-    auto bit = _blocks.find(seq);
-    if (bit == _blocks.end())
+    Block *bp = findBlock(seq);
+    if (!bp)
         return; // flushed block: stale message, drop
-    MemKey key{seq, lsid};
-    MemEntry &e = entry(key);
-    panic_if(!e.isStore, "store resolve for a load LSID");
+    Block &b = *bp;
+    panic_if(!(b.ops & bit(lsid)), "LSID %u out of range", lsid);
+    panic_if(!(b.stores & bit(lsid)), "store resolve for a load LSID");
+    MemEntry &e = b.entries[lsid];
 
-    if (e.resolved && wave <= e.inWave)
+    bool had_old = !(b.unresolved & bit(lsid));
+    if (had_old && wave <= e.inWave)
         return; // stale (reordered) resolve
     e.inWave = wave;
     if (!_spec) {
@@ -498,9 +493,7 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
         data_state = ValState::Final;
     }
 
-    bool had_old = e.resolved;
     Addr old_addr = e.addr;
-    unsigned old_bytes = e.bytes;
     bool addr_changed = had_old && e.addr != addr;
     bool data_changed = had_old && e.data != data;
     bool changed = !had_old || addr_changed || data_changed;
@@ -523,9 +516,13 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
 
     if (!had_old)
         ++_stores;
-    e.resolved = true;
+    if (addr_changed)
+        index(b, lsid, false);
+    b.unresolved &= ~bit(lsid);
     e.addr = addr;
     e.data = data;
+    if (!had_old || addr_changed)
+        index(b, lsid, true);
     // States are sticky-monotonic.
     if (addr_state == ValState::Final)
         e.addrSt = ValState::Final;
@@ -540,24 +537,24 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
         _check->onStoreState(seq, lsid, e.addr, e.data, e.state,
                              e.addrSt);
 
-    _policy->onStoreResolved(seq, bit->second.blockId, lsid);
+    _policy->onStoreResolved(seq, b.blockId, lsid);
 
-    if (_spec && e.state == ValState::Final &&
-        e.addrSt == ValState::Final) {
-        _nonFinalStores.erase(key);
-    }
+    if (e.addrSt == ValState::Final)
+        b.specAddr &= ~bit(lsid);
+    if (e.state == ValState::Final)
+        b.specData &= ~bit(lsid);
 
+    // A flush-recovery violation may squash this very block: `b` is
+    // not used past this point.
     if (changed)
-        storeChanged(now, key, old_addr, old_bytes, had_old, depth);
+        storeChanged(now, b, lsid, old_addr, had_old, depth);
 
     // Re-query loads held back by the policy: the store landscape
-    // just changed. (Snapshot first: tryIssueLoad mutates the set.)
-    _waitingScratch.assign(_waitingLoads.begin(), _waitingLoads.end());
-    for (MemKey wk : _waitingScratch) {
-        auto wit = _blocks.find(wk.first);
-        if (wit == _blocks.end())
-            continue; // flushed meanwhile
-        tryIssueLoad(now, wk, wit->second.ops[wk.second]);
+    // just changed. Issuing a load only clears its own waiting bit.
+    for (unsigned a = 0; a < _count; ++a) {
+        Block &w = at(a);
+        for (Mask m = w.waiting; m; m &= m - 1)
+            tryIssueLoad(now, w, low(m));
     }
 
     sweepFinality(now);
@@ -567,51 +564,52 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
 }
 
 void
-LoadStoreQueue::storeChanged(Cycle now, MemKey store_key, Addr old_addr,
-                             unsigned old_bytes, bool had_old,
+LoadStoreQueue::storeChanged(Cycle now, const Block &sb, Lsid lsid,
+                             Addr old_addr, bool had_old,
                              std::uint16_t depth)
 {
-    const MemEntry &st = entry(store_key);
+    const MemEntry &st = sb.entries[lsid];
+    const DynBlockSeq store_seq = sb.seq;
+    const BlockId store_block = sb.blockId;
+    std::vector<std::uint32_t> &keys = _hitKeys;
+    keys.clear();
+    gather(st.addr, st.bytes, keys);
+    if (had_old)
+        gather(old_addr, st.bytes, keys);
+
+    // Younger performed loads on either range, in program order.
     std::vector<Hit> &hits = _hitsScratch;
     hits.clear();
-
-    for (auto it = _blocks.lower_bound(store_key.first);
-         it != _blocks.end(); ++it) {
-        auto &[seq, be] = *it;
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            MemKey key{seq, l};
-            if (!(store_key < key))
-                continue;
-            MemEntry &ld = be.ops[l];
-            if (ld.isStore || !ld.performed)
-                continue;
-            bool overlap_new =
-                rangesOverlap(st.addr, st.bytes, ld.addr, ld.bytes);
-            bool overlap_old =
-                had_old &&
-                rangesOverlap(old_addr, old_bytes, ld.addr, ld.bytes);
-            if (!overlap_new && !overlap_old)
-                continue;
-            Word v = computeLoadValue(key, ld);
-            bool value_changed = v != ld.lastValue;
-            bool addr_hit = overlap_new && _p.addrBasedViolations &&
-                            _p.recovery == Recovery::Flush;
-            if (value_changed || addr_hit)
-                hits.push_back({key, value_changed});
-        }
+    for (auto it = std::upper_bound(keys.begin(), keys.end(),
+                                    ageKey(sb, lsid));
+         it != keys.end(); ++it) {
+        const Block &b = at(*it >> 5);
+        auto l = static_cast<Lsid>(*it & 31);
+        if (b.stores & bit(l))
+            continue;
+        const MemEntry &ld = b.entries[l];
+        bool overlap_new =
+            rangesOverlap(st.addr, st.bytes, ld.addr, ld.bytes);
+        bool overlap_old =
+            had_old && rangesOverlap(old_addr, st.bytes, ld.addr, ld.bytes);
+        if (!overlap_new && !overlap_old)
+            continue;
+        bool value_changed = computeLoadValue(b, l) != ld.lastValue;
+        bool addr_hit = overlap_new && _p.addrBasedViolations &&
+                        _p.recovery == Recovery::Flush;
+        if (value_changed || addr_hit)
+            hits.push_back({b.seq, l, value_changed});
     }
 
     for (const Hit &hit : hits) {
-        auto bit = _blocks.find(hit.key.first);
-        if (bit == _blocks.end())
+        Block *b = findBlock(hit.seq);
+        if (!b)
             continue; // flushed by an earlier hit in this batch
-        MemEntry &ld = bit->second.ops[hit.key.second];
+        MemEntry &ld = b->entries[hit.lsid];
 
         ++_violations;
-        _violationDistance.sample(hit.key.first - store_key.first);
-        _policy->onViolation(bit->second.blockId, hit.key.second,
-                             blockIdOf(store_key.first),
-                             store_key.second);
+        _violationDistance.sample(hit.seq - store_seq);
+        _policy->onViolation(b->blockId, hit.lsid, store_block, lsid);
 
         if (_p.recovery == Recovery::Dsre) {
             if (hit.value_changed) {
@@ -624,25 +622,18 @@ LoadStoreQueue::storeChanged(Cycle now, MemKey store_key, Addr old_addr,
                 } else {
                     ++ld.resends;
                     ++_resends;
-                    performLoad(now, hit.key, ld, true,
-                                static_cast<std::uint16_t>(depth));
+                    performLoad(now, *b, hit.lsid, true, depth);
                 }
             }
         } else {
             // Forward-progress guarantee: replay this dynamic load
             // conservatively after the flush (see _replayHolds).
-            _replayHolds.emplace(bit->second.archIdx, hit.key.second);
-            Violation v;
-            v.loadSeq = hit.key.first;
-            v.loadBlock = bit->second.blockId;
-            v.loadLsid = hit.key.second;
-            v.storeSeq = store_key.first;
-            v.storeBlock = blockIdOf(store_key.first);
-            v.storeLsid = store_key.second;
-            _violation(v);
-            // The flush removed this load's block and everything
-            // younger; the remaining hits that survived are handled
-            // on the next iteration (find() guards stale keys).
+            _replayHolds.emplace(b->archIdx, hit.lsid);
+            _flushRequests.push_back({hit.seq, b->blockId, hit.lsid,
+                                      store_seq, store_block, lsid});
+            // Squash the load's block and everything younger now:
+            // every remaining hit is younger, so they all drop.
+            flushFrom(hit.seq);
         }
     }
 }
@@ -652,120 +643,98 @@ LoadStoreQueue::sweepFinality(Cycle now)
 {
     if (!_spec)
         return;
-    // Snapshot: performLoad mutates _specLoads while we walk it.
-    _sweepScratch.assign(_specLoads.begin(), _specLoads.end());
-    for (MemKey key : _sweepScratch) {
-        auto bit = _blocks.find(key.first);
-        if (bit == _blocks.end()) {
-            _specLoads.erase(key);
-            continue;
+    // The finality frontier: the oldest store that is unresolved or
+    // has a Spec address. loadIsFinal fails on it for every younger
+    // load, so the sweep stops there.
+    unsigned front = 0;
+    while (front < _count && at(front).specAddr == 0)
+        ++front;
+    Mask front_below = front < _count ? below(low(at(front).specAddr)) : 0;
+    for (unsigned a = 0; a < _count && a <= front; ++a) {
+        Block &b = at(a);
+        // Snapshot: performLoad clears bits as the sweep goes.
+        Mask m = a == front ? b.spec & front_below : b.spec;
+        for (; m; m &= m - 1) {
+            Lsid l = low(m);
+            if (!loadIsFinal(b, l))
+                continue;
+            MemEntry &e = b.entries[l];
+            Word v = computeLoadValue(b, l);
+            panic_if(v != e.lastValue && !e.deferred,
+                     "finality sweep found a changed value that no "
+                     "store event reported (seq %llu lsid %u)",
+                     static_cast<unsigned long long>(b.seq), l);
+            ++(v != e.lastValue ? _resends : _upgrades);
+            e.deferred = false;
+            performLoad(now, b, l, true, e.depth);
         }
-        MemEntry &e = bit->second.ops[key.second];
-        if (!loadIsFinal(key, e))
-            continue;
-        Word v = computeLoadValue(key, e);
-        panic_if(v != e.lastValue && !e.deferred,
-                 "finality sweep found a changed value that no store "
-                 "event reported (seq %llu lsid %u)",
-                 static_cast<unsigned long long>(key.first), key.second);
-        if (v != e.lastValue)
-            ++_resends;
-        else
-            ++_upgrades;
-        e.deferred = false;
-        performLoad(now, key, e, true, e.depth);
-        _specLoads.erase(key);
     }
 }
 
 void
 LoadStoreQueue::injectSpuriousWave(Cycle now)
 {
-    if (_specLoads.empty() || !_chaos->spuriousViolation())
+    unsigned spec = 0;
+    for (unsigned a = 0; a < _count; ++a)
+        spec += std::popcount(at(a).spec);
+    if (spec == 0 || !_chaos->spuriousViolation())
         return;
-    auto it = _specLoads.begin();
-    std::advance(it, _chaos->pickIndex(_specLoads.size()));
-    MemKey key = *it;
-    MemEntry &e = entry(key);
+    // The pick-th spec load in (seq, lsid) order.
+    auto pick = static_cast<unsigned>(_chaos->pickIndex(spec));
+    unsigned a = 0;
+    for (; pick >= static_cast<unsigned>(std::popcount(at(a).spec)); ++a)
+        pick -= std::popcount(at(a).spec);
+    Block &b = at(a);
+    Mask m = b.spec;
+    for (; pick != 0; --pick)
+        m &= m - 1;
+    Lsid lsid = low(m);
+    MemEntry &e = b.entries[lsid];
     _chaos->countSpurious();
 
-    // A transient wrong value followed one cycle later by the true
-    // value again — a forced spurious violation. The entry's own
-    // record (lastValue/lastState) is untouched, so from the LSQ's
-    // point of view nothing happened; the dataflow graph downstream
-    // sees a genuine DSRE correction storm that must converge back
-    // to the same architectural state. Both waves are echoes: they
-    // deliberately repeat values, which the value-identity-squash
-    // invariant must not flag.
-    LoadReply glitch;
-    glitch.when = std::max(now, e.lastReplyWhen);
-    glitch.addr = e.addr;
-    glitch.seq = key.first;
-    glitch.slot = e.slot;
-    glitch.lsid = key.second;
-    glitch.value = e.lastValue ^ 1;
-    glitch.state = ValState::Spec;
-    glitch.wave = ++e.replyWave;
-    glitch.depth = e.depth;
-    glitch.echo = true;
-    glitch.targets = e.targets;
-    _reply(glitch);
-
-    LoadReply fix = glitch;
-    fix.when = glitch.when + 1;
-    fix.value = e.lastValue;
-    fix.wave = ++e.replyWave;
-    _reply(fix);
-    e.lastReplyWhen = fix.when;
+    // A transient wrong value, then the true value one cycle later.
+    // The entry's own record is untouched; downstream sees a genuine
+    // DSRE correction storm that must converge to the same state.
+    // Both waves are echoes the value-identity-squash invariant must
+    // not flag.
+    Cycle when = std::max(now, e.lastReplyWhen);
+    emitReply(b, lsid, when, e.lastValue ^ 1, ValState::Spec, e.depth)
+        .echo = true;
+    emitReply(b, lsid, when + 1, e.lastValue, ValState::Spec, e.depth)
+        .echo = true;
+    e.lastReplyWhen = when + 1;
 }
 
 bool
 LoadStoreQueue::blockMemFinal(DynBlockSeq seq) const
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "blockMemFinal on unknown seq");
-    for (Lsid l = 0; l < it->second.ops.size(); ++l) {
-        const MemEntry &e = it->second.ops[l];
-        if (e.isStore) {
-            if (!e.resolved)
-                return false;
-            if (_spec && (e.state != ValState::Final ||
-                          e.addrSt != ValState::Final)) {
-                return false;
-            }
-        } else {
-            if (!e.performed || e.waiting)
-                return false;
-            if (_spec && e.lastState != ValState::Final)
-                return false;
-        }
-    }
-    return true;
+    const Block *b = findBlock(seq);
+    panic_if(!b, "blockMemFinal on unknown seq");
+    // Every store resolved and every load performed and not held;
+    // under DSRE, all of them Final too.
+    return b->unresolved == 0 && b->waiting == 0 &&
+           b->performed == (b->ops & ~b->stores) &&
+           (!_spec || (b->specAddr | b->specData | b->spec) == 0);
 }
 
 void
 LoadStoreQueue::commitBlock(Cycle now, DynBlockSeq seq)
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "commit of unknown seq");
-    panic_if(it != _blocks.begin(),
+    const Block *b = findBlock(seq);
+    panic_if(!b, "commit of unknown seq");
+    panic_if(b != &at(0),
              "commit of seq %llu but older blocks are in flight",
              static_cast<unsigned long long>(seq));
     panic_if(!blockMemFinal(seq), "commit of non-final block");
 
-    for (Lsid l = 0; l < it->second.ops.size(); ++l) {
-        const MemEntry &e = it->second.ops[l];
-        if (!e.isStore)
-            continue;
+    for (Mask m = b->stores; m; m &= m - 1) {
+        const MemEntry &e = b->entries[low(m)];
         _mem->write(e.addr, e.bytes, e.data);
         (void)_hier->dataWrite(now, e.addr); // drain occupancy
-        _nonFinalStores.erase({seq, l});
     }
-    for (Lsid l = 0; l < it->second.ops.size(); ++l) {
-        _specLoads.erase({seq, l});
-        _waitingLoads.erase({seq, l});
-    }
-    _blocks.erase(it);
+    unindexBlock(*b);
+    _head = (_head + 1) % _ring.size();
+    --_count;
     if (_check)
         _check->onBlockRetired(seq);
 }
@@ -773,30 +742,29 @@ LoadStoreQueue::commitBlock(Cycle now, DynBlockSeq seq)
 std::string
 LoadStoreQueue::debugState() const
 {
+    auto fin = [](ValState st) { return st == ValState::Final; };
     std::string out;
-    for (const auto &[seq, be] : _blocks) {
-        for (Lsid l = 0; l < be.ops.size(); ++l) {
-            const MemEntry &e = be.ops[l];
-            if (e.isStore) {
-                if (e.resolved && e.addrSt == ValState::Final &&
-                    e.state == ValState::Final)
-                    continue;
+    for (unsigned a = 0; a < _count; ++a) {
+        const Block &b = at(a);
+        auto seq = static_cast<unsigned long long>(b.seq);
+        Mask loads = b.ops & ~b.stores;
+        Mask open = b.specAddr | b.specData | b.unresolved |
+                    (loads & (~b.performed | b.waiting | b.spec));
+        for (Mask m = open; m; m &= m - 1) {
+            Lsid l = low(m);
+            const MemEntry &e = b.entries[l];
+            if (b.stores & bit(l)) {
                 out += strfmt("  st seq=%llu lsid=%u resolved=%d "
                               "addrFinal=%d dataFinal=%d\n",
-                              (unsigned long long)seq, l, e.resolved,
-                              e.addrSt == ValState::Final,
-                              e.state == ValState::Final);
+                              seq, l, !(b.unresolved & bit(l)),
+                              fin(e.addrSt), fin(e.state));
             } else {
-                if (e.performed && !e.waiting &&
-                    e.lastState == ValState::Final)
-                    continue;
                 out += strfmt("  ld seq=%llu lsid=%u performed=%d "
                               "waiting=%d deferred=%d addrFinal=%d "
                               "final=%d\n",
-                              (unsigned long long)seq, l, e.performed,
-                              e.waiting, e.deferred,
-                              e.addrState == ValState::Final,
-                              e.lastState == ValState::Final);
+                              seq, l, bool(b.performed & bit(l)),
+                              bool(b.waiting & bit(l)), e.deferred,
+                              fin(e.addrState), fin(e.lastState));
             }
         }
     }
@@ -806,17 +774,10 @@ LoadStoreQueue::debugState() const
 void
 LoadStoreQueue::flushFrom(DynBlockSeq from_seq)
 {
-    auto it = _blocks.lower_bound(from_seq);
-    _blocks.erase(it, _blocks.end());
-
-    auto prune = [&](std::set<MemKey> &set) {
-        auto first = set.lower_bound({from_seq, 0});
-        set.erase(first, set.end());
-    };
-    prune(_nonFinalStores);
-    prune(_specLoads);
-    prune(_waitingLoads);
-
+    while (_count != 0 && at(_count - 1).seq >= from_seq) {
+        unindexBlock(at(_count - 1));
+        --_count;
+    }
     _policy->onFlush(from_seq);
     if (_check)
         _check->onFlushFrom(from_seq);

@@ -21,15 +21,17 @@
  * Physically the LSQ is banked (one bank per grid row, co-located
  * with the L1D banks); we model bank port contention and routing but
  * keep the search structure logically unified, a simplification
- * documented in DESIGN.md.
+ * documented in DESIGN.md. That structure is flat: a ring of blocks
+ * with LSID-indexed entries and per-block bitmaps, plus a word-address
+ * index of resolved stores and performed loads (DESIGN.md "The
+ * load/store queue").
  */
 
 #ifndef EDGE_LSQ_LSQ_HH
 #define EDGE_LSQ_LSQ_HH
 
 #include <array>
-#include <functional>
-#include <map>
+#include <bit>
 #include <set>
 #include <vector>
 
@@ -131,18 +133,13 @@ struct Violation
 class LoadStoreQueue
 {
   public:
-    using ReplyFn = std::function<void(const LoadReply &)>;
-    using ViolationFn = std::function<void(const Violation &)>;
-
     /**
      * @param params configuration
      * @param hierarchy timing for D-cache accesses (not owned)
      * @param memory architectural memory contents (not owned)
      * @param policy active dependence policy (not owned)
      * @param stats counters
-     * @param reply invoked for every load reply/resend/upgrade
-     * @param violation invoked on every detected violation (flush
-     *        recovery decides what to do with it; DSRE only counts)
+     * @param num_frames the most blocks ever in flight at once
      * @param chaos optional fault injector (not owned): delays store
      *        resolution and forces spurious corrective re-fire waves
      * @param check optional invariant checker (not owned), fed with
@@ -151,7 +148,7 @@ class LoadStoreQueue
     LoadStoreQueue(const LsqParams &params, mem::Hierarchy *hierarchy,
                    mem::SparseMemory *memory,
                    pred::DependencePredictor *policy, StatSet &stats,
-                   ReplyFn reply, ViolationFn violation,
+                   unsigned num_frames,
                    chaos::ChaosEngine *chaos = nullptr,
                    chaos::InvariantChecker *check = nullptr);
 
@@ -184,8 +181,21 @@ class LoadStoreQueue
     /** Squash every block with seq >= from_seq. */
     void flushFrom(DynBlockSeq from_seq);
 
+    /**
+     * Replies / resends / upgrades in emission order; the owner routes
+     * and clears them after each loadRequest and storeResolve.
+     */
+    std::vector<LoadReply> &replies() { return _replies; }
+
+    /**
+     * Violations flush recovery must repair (never under DSRE). The
+     * LSQ already squashed the load's block and younger itself; the
+     * owner squashes the rest of the machine and clears the list.
+     */
+    std::vector<Violation> &flushRequests() { return _flushRequests; }
+
     /** In-flight blocks currently tracked (for asserts/tests). */
-    std::size_t numBlocks() const { return _blocks.size(); }
+    std::size_t numBlocks() const { return _count; }
 
     /** Total violations detected so far. */
     std::uint64_t violations() const { return _violations.value(); }
@@ -198,21 +208,19 @@ class LoadStoreQueue
     std::uint64_t vpCorrect() const { return _vpCorrect.value(); }
 
   private:
-    using MemKey = std::pair<DynBlockSeq, Lsid>;
+    using Mask = std::uint32_t; ///< one bit per LSID of a block
+    static_assert(isa::kMaxBlockMemOps <= 32, "one Mask bit per LSID");
 
     struct MemEntry
     {
-        // Static properties, filled at map time.
-        bool isStore = false;
-        std::uint8_t bytes = 0;
+        std::uint8_t bytes = 0; ///< static, filled at map time
         SlotId slot = 0;
 
         // Store state. Address and data finality travel separately:
         // a load can finalise once every older store has a Final
         // address, even while non-overlapping store *data* is still
         // speculative.
-        bool resolved = false;
-        Addr addr = 0;
+        Addr addr = 0; ///< loads too, once a request arrived
         Word data = 0;
         ValState state = ValState::Spec;  ///< data state
         ValState addrSt = ValState::Spec; ///< address state
@@ -222,8 +230,6 @@ class LoadStoreQueue
 
         // Load state.
         bool addrKnown = false;    ///< a request has arrived
-        bool performed = false;
-        bool waiting = false;      ///< held back by the policy
         bool deferred = false;     ///< resend budget exhausted
         std::uint8_t resends = 0;  ///< corrective resends so far
         ValState addrState = ValState::Spec;
@@ -239,65 +245,97 @@ class LoadStoreQueue
         pred::CapturedDep dep;
     };
 
-    struct BlockEntry
+    struct Block
     {
+        DynBlockSeq seq = 0;
         std::uint64_t archIdx = 0;
         BlockId blockId = 0;
-        std::vector<MemEntry> ops; ///< indexed by LSID
+        Mask ops = 0;        ///< every LSID of the block
+        Mask stores = 0;     ///< static: which LSIDs are stores
+        Mask unresolved = 0; ///< stores whose address has not arrived
+        Mask specAddr = 0;   ///< DSRE: stores without a Final address
+        Mask specData = 0;   ///< DSRE: stores without Final data
+        Mask performed = 0;  ///< loads that have replied
+        Mask spec = 0;       ///< DSRE: performed, reply still Spec
+        Mask waiting = 0;    ///< loads held back by the policy
+        std::array<MemEntry, isa::kMaxBlockMemOps> entries;
     };
 
     /** A performed load hit by a store change (see storeChanged). */
     struct Hit
     {
-        MemKey key;
+        DynBlockSeq seq;
+        Lsid lsid;
         bool value_changed;
     };
 
-    MemEntry &entry(MemKey key);
-    const MemEntry *find(MemKey key) const;
-    BlockId blockIdOf(DynBlockSeq seq) const;
+    static Mask bit(Lsid lsid) { return Mask{1} << lsid; }
+    static Mask below(Lsid lsid) { return bit(lsid) - 1; }
+    static Lsid low(Mask m) { return Lsid(std::countr_zero(m)); }
 
-    /** Current forwarded/loaded value of a performed load. */
-    Word computeLoadValue(MemKey key, const MemEntry &e) const;
+    /** The block `age` places from the oldest (0 = oldest). */
+    Block &at(unsigned age) const
+    {
+        return _ring[(_head + age) % _ring.size()];
+    }
+    /** The in-flight block with this seq, or null (flushed). */
+    Block *findBlock(DynBlockSeq seq) const;
+    /** Program-order key: block age, then LSID (until a pop). */
+    std::uint32_t ageKey(const Block &b, Lsid lsid) const
+    {
+        auto slot = static_cast<unsigned>(&b - _ring.data());
+        return std::uint32_t((slot + _ring.size() - _head) % _ring.size())
+                   << 5 | lsid;
+    }
+
+    /** Call f on the index bucket of each word [addr, +bytes) touches. */
+    template <typename F>
+    void forBuckets(Addr addr, unsigned bytes, F &&f) const
+    {
+        Addr word = addr >> 3;
+        for (Addr w = word; w <= word + ((addr & 7) + bytes > 8); ++w)
+            f(_index[(w ^ (w >> 12)) & _indexMask]);
+    }
+    /** Add / remove an op's words in the address index. */
+    void index(const Block &b, Lsid lsid, bool add);
+    void unindexBlock(const Block &b);
+    /** Add the sorted, unique age keys of indexed ops on the range's
+     *  words to `out`. */
+    void gather(Addr addr, unsigned bytes,
+                std::vector<std::uint32_t> &out) const;
+
+    /** A performed load's current value; `*from_mem` when some byte
+     *  comes from memory rather than an older store. */
+    Word computeLoadValue(const Block &b, Lsid lsid,
+                          bool *from_mem = nullptr) const;
 
     /** True when every byte can come only from final sources. */
-    bool loadIsFinal(MemKey key, const MemEntry &e) const;
+    bool loadIsFinal(const Block &b, Lsid lsid) const;
 
-    /**
-     * Older unresolved stores, oldest first (policy query input).
-     * Returns a reference to _olderScratch, valid until the next
-     * call — per-query heap churn was a measurable cost in the
-     * re-fire path.
-     */
+    /** Older unresolved stores, oldest first (policy query input);
+     *  a reference to _olderScratch, valid until the next call. */
     const std::vector<pred::UnresolvedStore> &
-    olderUnresolved(MemKey key) const;
+    olderUnresolved(const Block &b, Lsid lsid) const;
 
     /** Try to issue a load now (policy permitting); send the reply. */
-    void tryIssueLoad(Cycle now, MemKey key, MemEntry &e);
-
+    void tryIssueLoad(Cycle now, Block &b, Lsid lsid);
     /** Actually perform the load and send (or re-send) its reply. */
-    void performLoad(Cycle now, MemKey key, MemEntry &e,
-                     bool is_resend, std::uint16_t depth);
+    void performLoad(Cycle now, Block &b, Lsid lsid, bool is_resend,
+                     std::uint16_t depth);
 
-    /**
-     * A store changed: scan younger performed loads overlapping
-     * either range for value changes (violations), and waiting loads
-     * for issue opportunities.
-     */
-    void storeChanged(Cycle now, MemKey store_key, Addr old_addr,
-                      unsigned old_bytes, bool had_old,
-                      std::uint16_t depth);
+    /** A store changed: find the younger performed loads it hits. */
+    void storeChanged(Cycle now, const Block &sb, Lsid lsid,
+                      Addr old_addr, bool had_old, std::uint16_t depth);
 
     /** Advance the commit wave: upgrade now-final performed loads. */
     void sweepFinality(Cycle now);
-
-    /**
-     * Chaos: re-fire one speculative load as a transient wrong value
-     * immediately corrected by a second wave — a forced spurious
-     * violation exercising the selective re-execution machinery.
-     */
+    /** Chaos: re-fire one Spec load as a transient wrong value,
+     *  corrected by a second wave (a forced spurious violation). */
     void injectSpuriousWave(Cycle now);
 
+    /** Append a reply to the outbox; fills the entry's link fields. */
+    LoadReply &emitReply(Block &b, Lsid lsid, Cycle when, Word value,
+                         ValState state, std::uint16_t depth);
     /** Charge a bank port; returns the cycle processing may start. */
     Cycle bankPort(Cycle now, Addr addr);
 
@@ -307,25 +345,25 @@ class LoadStoreQueue
     mem::Hierarchy *_hier;
     mem::SparseMemory *_mem;
     pred::DependencePredictor *_policy;
-    ReplyFn _reply;
-    ViolationFn _violation;
     chaos::ChaosEngine *_chaos;
     chaos::InvariantChecker *_check;
 
-    std::map<DynBlockSeq, BlockEntry> _blocks;
-    std::set<MemKey> _nonFinalStores; ///< unresolved or Spec stores
-    std::set<MemKey> _specLoads;      ///< performed, reply still Spec
-    std::set<MemKey> _waitingLoads;   ///< held back by the policy
+    mutable std::vector<Block> _ring; ///< num_frames blocks
+    unsigned _head = 0;               ///< ring slot of the oldest
+    unsigned _count = 0;              ///< blocks in flight
+    /** Word-address buckets of op ids (ring slot << 5 | LSID). */
+    mutable std::vector<std::vector<std::uint16_t>> _index;
+    Addr _indexMask = 0;
 
-    // Scratch buffers reused across calls instead of per-call heap
-    // allocations (re-fire wave bookkeeping is a hot path). None of
-    // these functions re-enter themselves, so one buffer each is
-    // safe; capacity persists for the queue's lifetime.
+    std::vector<LoadReply> _replies;
+    std::vector<Violation> _flushRequests;
+
+    // Scratch buffers reused across calls; no user re-enters.
     mutable std::vector<pred::UnresolvedStore> _olderScratch;
-    std::vector<MemKey> _waitingScratch;   ///< storeResolve re-query
-    std::vector<Hit> _hitsScratch;         ///< storeChanged victims
-    std::vector<MemKey> _sweepScratch;     ///< sweepFinality candidates
-    std::vector<Cycle> _bankFree;     ///< per-bank port availability
+    mutable std::vector<std::uint32_t> _valueKeys; ///< computeLoadValue
+    std::vector<std::uint32_t> _hitKeys;           ///< storeChanged
+    std::vector<Hit> _hitsScratch;                 ///< storeChanged
+    std::vector<Cycle> _bankFree; ///< per-bank port availability
 
     /** Last-value table for the miss value-prediction extension. */
     struct VpEntry

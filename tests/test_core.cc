@@ -32,8 +32,7 @@ class ExecNodeTest : public ::testing::Test
              stats.counter("core.upgrades", ""),
              stats.counter("core.squashes", ""),
              stats.histogram("core.wave_depth", "")},
-          node(params, ns,
-               [this](const NodeEvent &ev) { events.push_back(ev); })
+          node(params, ns)
     {
     }
 
@@ -50,8 +49,9 @@ class ExecNodeTest : public ::testing::Test
     CoreParams params;
     StatSet stats;
     NodeStats ns;
-    std::vector<NodeEvent> events;
     ExecNode node;
+    /** The node's outbox; nothing drains it, so it accumulates. */
+    std::vector<NodeEvent> &events = node.events();
 };
 
 TEST_F(ExecNodeTest, ExecutesWhenAllOperandsArrive)
@@ -206,14 +206,9 @@ class RegUnitTest : public ::testing::Test
   protected:
     RegUnitTest()
         : stats("t"),
-          init(isa::kNumArchRegs, 0),
-          unit(nullptr)
+          init(initRegs()),
+          unit(std::make_unique<RegUnit>(params, init, stats))
     {
-        init[3] = 333;
-        unit = std::make_unique<RegUnit>(
-            params, init, stats,
-            [this](const RegForward &f) { forwards.push_back(f); });
-
         // writer: writes r3; reader: reads r3.
         compiler::ProgramBuilder pb("t");
         auto &w = pb.newBlock("writer");
@@ -225,6 +220,14 @@ class RegUnitTest : public ::testing::Test
         prog = std::make_unique<isa::Program>(pb.build());
     }
 
+    static std::vector<Word>
+    initRegs()
+    {
+        std::vector<Word> regs(isa::kNumArchRegs, 0);
+        regs[3] = 333;
+        return regs;
+    }
+
     const isa::Block &writer() { return prog->block(0); }
     const isa::Block &reader() { return prog->block(1); }
 
@@ -233,7 +236,8 @@ class RegUnitTest : public ::testing::Test
     std::vector<Word> init;
     std::unique_ptr<RegUnit> unit;
     std::unique_ptr<isa::Program> prog;
-    std::vector<RegForward> forwards;
+    /** The unit's outbox; nothing drains it, so it accumulates. */
+    std::vector<RegForward> &forwards = unit->forwards();
 };
 
 TEST_F(RegUnitTest, ArchitecturalReadIsImmediateAndFinal)

@@ -5,10 +5,15 @@
  * captured replies: forwarding (including byte-accurate partial
  * overlap), violation detection, DSRE resends vs flush violations,
  * the commit wave (finality upgrades), policy holds, the replay
- * hold and resend-budget mechanisms, commit draining, and flushes.
+ * hold and resend-budget mechanisms, commit draining, and flushes —
+ * plus the flat storage itself: ring reuse across sequence gaps,
+ * flushes in the middle of a violation's hit list, accesses straddling
+ * two index words, the finality frontier, and program-order queries.
  */
 
 #include <gtest/gtest.h>
+
+#include "panic_check.hh"
 
 #include "common/stats.hh"
 #include "compiler/builder.hh"
@@ -31,15 +36,11 @@ class LsqTest : public ::testing::Test
                      pred::DepPolicy policy = pred::DepPolicy::Blind)
         : hier(mem::HierarchyParams{}, stats),
           policyPtr(pred::makeDependencePredictor(policy, nullptr,
-                                                  stats))
+                                                  stats)),
+          lsq(std::make_unique<LoadStoreQueue>(params(recovery), &hier,
+                                               &memory, policyPtr.get(),
+                                               stats, kFrames))
     {
-        LsqParams p;
-        p.recovery = recovery;
-        lsq = std::make_unique<LoadStoreQueue>(
-            p, &hier, &memory, policyPtr.get(), stats,
-            [this](const LoadReply &r) { replies.push_back(r); },
-            [this](const Violation &v) { violations.push_back(v); });
-
         // The canned two-memop block.
         compiler::ProgramBuilder pb("t");
         auto &b = pb.newBlock("blk");
@@ -48,6 +49,16 @@ class LsqTest : public ::testing::Test
         b.store(b.readReg(2), x, 8);
         b.branchHalt();
         prog = std::make_unique<isa::Program>(pb.build());
+    }
+
+    static constexpr unsigned kFrames = 16;
+
+    static LsqParams
+    params(Recovery recovery)
+    {
+        LsqParams p;
+        p.recovery = recovery;
+        return p;
     }
 
     void
@@ -86,8 +97,9 @@ class LsqTest : public ::testing::Test
     std::unique_ptr<pred::DependencePredictor> policyPtr;
     std::unique_ptr<LoadStoreQueue> lsq;
     std::unique_ptr<isa::Program> prog;
-    std::vector<LoadReply> replies;
-    std::vector<Violation> violations;
+    /** The LSQ's outboxes; nothing drains them, so they accumulate. */
+    std::vector<LoadReply> &replies = lsq->replies();
+    std::vector<Violation> &violations = lsq->flushRequests();
 };
 
 class LsqFlushTest : public LsqTest
@@ -340,7 +352,8 @@ TEST_F(LsqFlushTest, ReplayHoldForcesConservativeRetry)
     sendLoad(0, 2, 0x100);
     sendStore(3, 1, 0x100, 99); // violation -> flush requested
     ASSERT_EQ(violations.size(), 1u);
-    lsq->flushFrom(2);
+    // The LSQ squashed the violating block itself.
+    EXPECT_EQ(lsq->numBlocks(), 1u);
     replies.clear();
 
     // An older block with an unresolved store re-enters the window,
@@ -374,6 +387,193 @@ TEST_F(LsqConservativeTest, LoadsWaitForOlderStores)
     ASSERT_FALSE(replies.empty());
     EXPECT_EQ(lastReply().value, 5u);
     EXPECT_EQ(lsq->violations(), 0u);
+}
+
+
+// ---------------------------------------------------------------------
+// Flat storage: ring, word index, frontier, program order.
+
+TEST_F(LsqTest, SeqGapsAfterFlushThenFrameReuse)
+{
+    memory.write(0x100, 8, 5);
+    for (DynBlockSeq s = 1; s <= kFrames; ++s)
+        map(s);
+    EXPECT_PANIC(map(kFrames + 1), "LSQ window full");
+    lsq->flushFrom(10); // 9 blocks left; seqs 10..16 never come back
+    EXPECT_EQ(lsq->numBlocks(), 9u);
+    map(20);
+    map(21);
+    sendStore(0, 20, 0x100, 77);
+    sendLoad(1, 21, 0x100, ValState::Final);
+    EXPECT_EQ(lastReply().value, 77u); // forwarded across the gap
+    sendLoad(2, 12, 0x100); // a flushed seq: stale, dropped
+    EXPECT_EQ(replies.size(), 1u);
+    sendLoad(2, 20, 0x600, ValState::Final);
+    sendStore(2, 21, 0x700, 1);
+
+    // Resolve and commit everything; the ring head then wraps while
+    // a full window of new blocks maps into the reused frames.
+    for (DynBlockSeq s = 1; s <= 9; ++s) {
+        sendStore(3, s, 0x800 + 8 * s, s);
+        sendLoad(3, s, 0x400, ValState::Final);
+    }
+    for (DynBlockSeq s : {1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 21})
+        lsq->commitBlock(10, s);
+    EXPECT_EQ(lsq->numBlocks(), 0u);
+    EXPECT_EQ(memory.read(0x100, 8), 77u);
+    for (DynBlockSeq s = 30; s < 30 + kFrames; ++s)
+        map(s);
+    sendStore(20, 30, 0x100, 99);
+    sendLoad(21, 30 + kFrames - 1, 0x100, ValState::Spec);
+    EXPECT_EQ(lastReply().value, 99u);
+}
+
+TEST_F(LsqFlushTest, ViolationFlushesBlocksStillInTheHitList)
+{
+    memory.write(0x100, 8, 5);
+    map(1);
+    map(2);
+    map(3);
+    sendLoad(0, 2, 0x100);
+    sendLoad(0, 3, 0x100);
+    // Both younger loads are hit; the first violation squashes
+    // blocks 2 and 3, so the second hit must be dropped, not
+    // reported or touched.
+    sendStore(3, 1, 0x100, 99);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].loadSeq, 2u);
+    EXPECT_EQ(lsq->violations(), 1u);
+    EXPECT_EQ(lsq->numBlocks(), 1u);
+    // The refetched blocks reuse the frames and the index is clean:
+    // only block 1's store is on the word.
+    map(4);
+    sendLoad(5, 4, 0x100);
+    EXPECT_EQ(lastReply().value, 99u);
+    sendStore(6, 4, 0x100, 7); // younger than the load: no hit
+    EXPECT_EQ(violations.size(), 1u);
+}
+
+TEST_F(LsqTest, StraddlingAccessesMergeBytesAcrossIndexWords)
+{
+    memory.write(0x108, 8, 0xEEEEEEEEEEEEEEEEull);
+    memory.write(0x110, 8, 0xEEEEEEEEEEEEEEEEull);
+    map(1);
+    map(2);
+    map(3);
+    // Block 3's load [0x10c, 0x114) spans words 0x108 and 0x110 and
+    // performs first, reading memory.
+    lsq->loadRequest(0, 3, 0, 0x10c, ValState::Final, 1, 0, {}, 0);
+    EXPECT_EQ(lastReply().value, 0xEEEEEEEEEEEEEEEEull);
+    // An older store lands on the load's second word only: the load
+    // is found through that word and re-sent with merged bytes.
+    sendStore(1, 1, 0x110, 0x8877665544332211ull, ValState::Spec,
+              ValState::Final);
+    EXPECT_EQ(lastReply().value, 0x44332211EEEEEEEEull);
+    // Block 2's store straddles [0x106, 0x10e): the load takes its
+    // upper two bytes on the first word.
+    sendStore(2, 2, 0x106, 0x8877665544332211ull);
+    EXPECT_EQ(lastReply().value, 0x44332211EEEE8877ull);
+    // Block 1's store moves off the load (Spec address): the old
+    // word still finds the load, whose bytes revert to memory.
+    sendStore(3, 1, 0x200, 0x8877665544332211ull, ValState::Final,
+              ValState::Final, 2);
+    EXPECT_EQ(lastReply().value, 0xEEEEEEEEEEEE8877ull);
+    EXPECT_EQ(lastReply().state, ValState::Final);
+}
+
+TEST_F(LsqTest, SweepStopsAtTheFinalityFrontier)
+{
+    memory.write(0x100, 8, 7);
+    map(1);
+    map(2);
+    map(3);
+    sendLoad(0, 2, 0x100, ValState::Final); // older than the frontier
+    sendLoad(0, 3, 0x100, ValState::Final); // younger than it
+    ASSERT_EQ(replies.size(), 2u);
+    // Block 2's store resolves with a Spec address: it becomes the
+    // frontier (block 1's store is still unresolved, so far older).
+    sendStore(1, 2, 0x900, 1, ValState::Spec, ValState::Final);
+    // Block 1's store resolves Final off both loads: block 2's load
+    // finalises; block 3's stays Spec behind the frontier.
+    std::size_t before = replies.size();
+    sendStore(2, 1, 0x800, 1);
+    ASSERT_EQ(replies.size(), before + 1);
+    EXPECT_EQ(replies.back().seq, 2u);
+    EXPECT_EQ(replies.back().state, ValState::Final);
+    EXPECT_TRUE(replies.back().statusOnly);
+    EXPECT_FALSE(lsq->blockMemFinal(3));
+    // The frontier store's address turns Final: the sweep upgrades
+    // block 3's load.
+    sendStore(3, 2, 0x900, 1, ValState::Final, ValState::Final, 2);
+    EXPECT_EQ(replies.back().seq, 3u);
+    EXPECT_EQ(replies.back().state, ValState::Final);
+    EXPECT_EQ(replies.back().value, 7u);
+}
+
+/** A blind policy that records each query's older-unresolved list. */
+class RecordingPolicy : public pred::DependencePredictor
+{
+  public:
+    bool
+    loadMustWait(const pred::LoadQuery &q) override
+    {
+        older = *q.olderUnresolved;
+        return false;
+    }
+    const char *name() const override { return "recording"; }
+
+    std::vector<pred::UnresolvedStore> older;
+};
+
+TEST(LsqOrder, OlderUnresolvedIsInProgramOrderAcrossBlocks)
+{
+    StatSet stats("t");
+    mem::SparseMemory memory;
+    mem::Hierarchy hier(mem::HierarchyParams{}, stats);
+    RecordingPolicy policy;
+    LoadStoreQueue lsq(LsqParams{}, &hier, &memory, &policy, stats, 4);
+
+    compiler::ProgramBuilder pb("t");
+    auto &one = pb.newBlock("ld-st"); // LSID 0 load, 1 store
+    compiler::Val a = one.readReg(1);
+    one.store(a, one.load(a, 8), 8);
+    one.branchHalt();
+    auto &three = pb.newBlock("st-st-st-ld"); // LSIDs 0-2 stores, 3 load
+    compiler::Val b = three.readReg(1);
+    for (int i = 0; i < 3; ++i)
+        three.store(b, b, 8, 8 * i);
+    three.writeReg(2, three.load(b, 8));
+    three.branchHalt();
+    isa::Program prog = pb.build();
+
+    // Advance the ring head so the window wraps around the array.
+    for (DynBlockSeq s = 1; s <= 3; ++s) {
+        lsq.mapBlock(s, s, 0, prog.block(0));
+        lsq.storeResolve(0, s, 1, 0x900, 0, ValState::Final,
+                         ValState::Final, 1, 0);
+        lsq.loadRequest(0, s, 0, 0x100, ValState::Final, 1, 0, {}, 0);
+        lsq.commitBlock(1, s);
+    }
+    lsq.mapBlock(5, 5, 0, prog.block(0));
+    lsq.mapBlock(6, 6, 1, prog.block(1));
+    lsq.mapBlock(8, 8, 0, prog.block(0));
+    lsq.storeResolve(2, 6, 1, 0x300, 0, ValState::Final,
+                     ValState::Final, 1, 0);
+    lsq.loadRequest(3, 8, 0, 0x100, ValState::Final, 1, 0, {}, 0);
+
+    std::vector<std::pair<DynBlockSeq, Lsid>> got;
+    for (const pred::UnresolvedStore &u : policy.older)
+        got.emplace_back(u.seq, u.lsid);
+    std::vector<std::pair<DynBlockSeq, Lsid>> want = {
+        {5, 1}, {6, 0}, {6, 2}};
+    EXPECT_EQ(got, want);
+    // A load's own block contributes only older LSIDs.
+    lsq.loadRequest(4, 6, 3, 0x100, ValState::Final, 1, 0, {}, 0);
+    got.clear();
+    for (const pred::UnresolvedStore &u : policy.older)
+        got.emplace_back(u.seq, u.lsid);
+    want = {{5, 1}, {6, 0}, {6, 2}};
+    EXPECT_EQ(got, want);
 }
 
 } // namespace
