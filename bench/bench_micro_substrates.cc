@@ -4,9 +4,10 @@
  * themselves (host-side performance, not simulated cycles): cache
  * timestamp accesses, mesh routing and send/deliver, sparse-memory
  * traffic, block construction + placement, functional reference
- * execution, the LSQ's two hot paths (store resolution over a full
- * window, policy-gated load issue), and a full end-to-end simulated
- * kernel. These guard against accidental slowdowns of the simulator.
+ * execution, an execution node's issue scan over a 16-frame window,
+ * the LSQ's two hot paths (store resolution over a full window,
+ * policy-gated load issue), and a full end-to-end simulated kernel.
+ * These guard against accidental slowdowns of the simulator.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "compiler/builder.hh"
 #include "compiler/placement.hh"
 #include "compiler/ref_executor.hh"
+#include "core/exec_node.hh"
 #include "lsq/lsq.hh"
 #include "mem/cache.hh"
 #include "mem/sparse_memory.hh"
@@ -62,19 +64,72 @@ BM_MeshSendDeliver(benchmark::State &state)
     Rng rng(13);
     Cycle now = 0;
     std::uint64_t sink = 0;
+    // The processor's order: deliver what has arrived by `now`, then
+    // send from `now`, so every message is delivered on time.
     for (auto _ : state) {
+        mesh.deliver(now, [&](net::Coord, std::uint64_t &&v) { sink += v; });
         net::Coord src{static_cast<std::uint16_t>(rng.below(5)),
                        static_cast<std::uint16_t>(rng.below(5))};
         net::Coord dst{static_cast<std::uint16_t>(rng.below(5)),
                        static_cast<std::uint16_t>(rng.below(5))};
         mesh.send(now, src, dst, sink);
-        mesh.deliver(now + 16,
-                     [&](net::Coord, std::uint64_t &&v) { sink += v; });
         ++now;
     }
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_MeshSendDeliver);
+
+/**
+ * One execution node with 16 frames x 8 slots of two-operand adds.
+ * Even frames have both operands (they execute once, then idle until
+ * a new wave), odd frames wait for operands that never come. Each
+ * iteration re-arms four executed slots with a changed value, as a
+ * DSRE wave does, and ticks the node until it has no work left.
+ */
+static void
+BM_ExecNodeTick(benchmark::State &state)
+{
+    core::CoreParams p;
+    p.numFrames = 16;
+    StatSet stats("bm");
+    core::NodeStats ns{stats.counter("core.alu_issues", ""),
+                       stats.counter("core.alu_reexecs", ""),
+                       stats.counter("core.upgrades", ""),
+                       stats.counter("core.squashes", ""),
+                       stats.histogram("core.wave_depth", "")};
+    core::ExecNode node(p, ns);
+    isa::Instruction add;
+    add.op = isa::Opcode::ADD;
+    add.targets[0] = isa::Target::toWrite(0);
+    for (unsigned f = 0; f < p.numFrames; ++f) {
+        for (unsigned l = 0; l < p.slotsPerNode; ++l) {
+            node.mapInst(f, l, f + 1, static_cast<SlotId>(l), add);
+            if (f % 2 == 0) {
+                node.deliver(f, l, 0, f, ValState::Spec, 1, 0);
+                node.deliver(f, l, 1, l, ValState::Spec, 1, 0);
+            }
+        }
+    }
+    Cycle now = 0;
+    std::uint32_t wave = 1;
+    unsigned next = 0;
+    std::int64_t ticks = 0;
+    for (auto _ : state) {
+        ++wave;
+        for (unsigned k = 0; k < 4; ++k, next = (next + 7) % 64) {
+            unsigned f = 2 * (next / p.slotsPerNode);
+            unsigned l = next % p.slotsPerNode;
+            node.deliver(f, l, 0, wave, ValState::Spec, wave, 0);
+        }
+        while (node.hasWork()) {
+            benchmark::DoNotOptimize(node.tick(++now));
+            node.events().clear();
+            ++ticks;
+        }
+    }
+    state.SetItemsProcessed(ticks);
+}
+BENCHMARK(BM_ExecNodeTick);
 
 static void
 BM_RouteXY(benchmark::State &state)

@@ -1,16 +1,12 @@
 #include "core/processor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
-#include "core/scheduler.hh"
-
-static const bool kTrace = std::getenv("EDGE_TRACE") != nullptr;
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "core/scheduler.hh"
 
 namespace edge::core {
 
@@ -39,6 +35,9 @@ Processor::Processor(const MachineConfig &config,
     fatal_if(_cfg.core.numNodes() * _cfg.core.slotsPerNode <
                  isa::kMaxBlockInsts,
              "grid capacity below the maximum block size");
+    fatal_if(_cfg.core.numNodes() > 64,
+             "a %u-node grid exceeds the 64 nodes the ready mask holds",
+             _cfg.core.numNodes());
     fatal_if(_cfg.policy == pred::DepPolicy::Oracle && !oracle,
              "the oracle policy needs an OracleDb");
 
@@ -162,10 +161,23 @@ Processor::codeAddr(BlockId block) const
 Processor::BlockCtx *
 Processor::findCtx(DynBlockSeq seq)
 {
+    BlockCtx *hit = _ctxBySeq[seq % kCtxIndex];
+    if (hit && hit->seq == seq)
+        return hit;
+    // Not indexed: flushed, or its index entry went to a younger
+    // block with the same seq modulo kCtxIndex.
     for (BlockCtx &ctx : _inflight)
         if (ctx.seq == seq)
             return &ctx;
     return nullptr;
+}
+
+void
+Processor::retireCtx(const BlockCtx &ctx)
+{
+    BlockCtx *&slot = _ctxBySeq[ctx.seq % kCtxIndex];
+    if (slot == &ctx)
+        slot = nullptr;
 }
 
 void
@@ -356,6 +368,7 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         _nodes[node]->deliver(ctx->frame, ctx->localIdx[msg.slot],
                               msg.operand, msg.value, msg.state,
                               msg.wave, msg.depth);
+        _readyNodes |= std::uint64_t{1} << node;
         return;
       }
       case Msg::Kind::WriteVal:
@@ -448,9 +461,9 @@ Processor::flushFrom(DynBlockSeq from_seq, bool lsq_flushed)
     _trace.push({_cycle, chaos::TraceEvent::Kind::Flush, from_seq});
     while (!_inflight.empty() && _inflight.back().seq >= from_seq) {
         BlockCtx &ctx = _inflight.back();
-        for (auto &node : _nodes)
-            node->clearFrame(ctx.frame);
+        clearFrame(ctx);
         _freeFrames.push_back(ctx.frame);
+        retireCtx(ctx);
         _inflight.pop_back();
     }
     if (!lsq_flushed)
@@ -458,6 +471,13 @@ Processor::flushFrom(DynBlockSeq from_seq, bool lsq_flushed)
     _regs->flushFrom(from_seq);
     _fetchBusy = false; // cancel any in-progress fetch
     _fetchHalted = false;
+}
+
+void
+Processor::clearFrame(const BlockCtx &ctx)
+{
+    for (std::uint64_t m = ctx.nodes; m; m &= m - 1)
+        _nodes[std::countr_zero(m)]->clearFrame(ctx.frame);
 }
 
 void
@@ -526,9 +546,13 @@ Processor::mapFetchedBlock(Cycle now)
         panic_if(local >= _cfg.core.slotsPerNode,
                  "placement overflows node %u", node);
         ctx.localIdx[s] = local;
+        ctx.nodes |= std::uint64_t{1} << node;
         _nodes[node]->mapInst(frame, local, ctx.seq,
                               static_cast<SlotId>(s), b.insts()[s]);
     }
+    // Conservative: a mapped node may have a zero-operand slot ready
+    // now; runEvent clears the bit again once it finds no work.
+    _readyNodes |= ctx.nodes;
 
     unsigned e = std::min<unsigned>(
         _nbp->predict(bid),
@@ -538,13 +562,10 @@ Processor::mapFetchedBlock(Cycle now)
 
     BlockId succ = b.exits()[e];
     DynBlockSeq seq = ctx.seq;
-    if (kTrace && seq < 40)
-        std::fprintf(stderr, "map seq=%llu blk=%u cyc=%llu\n",
-                     (unsigned long long)seq, bid,
-                     (unsigned long long)now);
     // The context must be visible before the LSQ / register unit
     // map the block: register reads can forward immediately.
     _inflight.push_back(std::move(ctx));
+    _ctxBySeq[seq % kCtxIndex] = &_inflight.back();
     ++_statFetchedBlocks;
     _lsq->mapBlock(seq, _inflight.back().archIdx, bid, b);
     _regs->mapBlock(now, seq, b);
@@ -569,11 +590,6 @@ Processor::commitTick(Cycle now)
                    (!need_final || ctx.exitState == ValState::Final);
     bool writes_ok = _regs->blockWritesFinal(ctx.seq, need_final);
     bool mem_ok = _lsq->blockMemFinal(ctx.seq);
-    if (kTrace) {
-        if (exit_ok && !ctx.dbgExitOk) ctx.dbgExitOk = now;
-        if (writes_ok && !ctx.dbgWritesOk) ctx.dbgWritesOk = now;
-        if (mem_ok && !ctx.dbgMemOk) ctx.dbgMemOk = now;
-    }
     if (!exit_ok || !writes_ok || !mem_ok)
         return false;
 
@@ -600,19 +616,9 @@ Processor::commitTick(Cycle now)
 
     _regs->commitBlock(ctx.seq);
     _lsq->commitBlock(now, ctx.seq);
-    for (auto &node : _nodes)
-        node->clearFrame(ctx.frame);
+    clearFrame(ctx);
     _freeFrames.push_back(ctx.frame);
 
-    if (kTrace && ctx.seq < 40)
-        std::fprintf(stderr,
-                     "commit seq=%llu cyc=%llu exitOk=%llu "
-                     "writesOk=%llu memOk=%llu\n",
-                     (unsigned long long)ctx.seq,
-                     (unsigned long long)now,
-                     (unsigned long long)ctx.dbgExitOk,
-                     (unsigned long long)ctx.dbgWritesOk,
-                     (unsigned long long)ctx.dbgMemOk);
     _trace.push({now, chaos::TraceEvent::Kind::Commit, ctx.seq, 0, 0,
                  ctx.exitValue, true});
     ++_statCommittedBlocks;
@@ -622,6 +628,7 @@ Processor::commitTick(Cycle now)
     _lastCommit = now;
 
     BlockId succ = ctx.block->exits()[actual];
+    retireCtx(ctx);
     _inflight.pop_front();
 
     if (succ == isa::kHaltBlock)
@@ -816,9 +823,17 @@ Processor::runEvent(Cycle max_cycles, Result &res)
             active = true;
             deliverMsg(_cycle, m);
         });
-        for (unsigned n = 0; n < _nodes.size(); ++n)
+        // Only nodes in the ready mask can have work; walking it low
+        // bit first keeps the node order of a full scan. Ticking a
+        // node only sends mesh messages, so it cannot give another
+        // node work within this loop.
+        for (std::uint64_t m = _readyNodes; m; m &= m - 1) {
+            unsigned n = static_cast<unsigned>(std::countr_zero(m));
             if (_nodes[n]->hasWork())
                 active |= tickNode(n);
+            if (!_nodes[n]->hasWork())
+                _readyNodes &= ~(std::uint64_t{1} << n);
+        }
         if (fetchTick(_cycle))
             active = true;
         if (_fetchBusy)

@@ -11,6 +11,7 @@
 #ifndef EDGE_CORE_PROCESSOR_HH
 #define EDGE_CORE_PROCESSOR_HH
 
+#include <array>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -172,13 +173,12 @@ class Processor
          * frame), valid while this block owns its frame.
          */
         std::uint16_t *localIdx = nullptr;
+        /** Bit n set iff the block maps a slot onto grid node n. */
+        std::uint64_t nodes = 0;
 
         unsigned predictedExit = 0; ///< original prediction (stats)
         unsigned fetchedExit = 0;   ///< exit the fetch chain follows
         std::uint64_t historySnapshot = 0;
-
-        // Debug (EDGE_TRACE): first cycle each commit condition held.
-        Cycle dbgExitOk = 0, dbgWritesOk = 0, dbgMemOk = 0;
 
         bool exitSeen = false;
         Word exitValue = 0;
@@ -241,10 +241,15 @@ class Processor
      */
     void flushFrom(DynBlockSeq from_seq, bool lsq_flushed = false);
 
+    /** Release the block's frame on the nodes it mapped slots onto. */
+    void clearFrame(const BlockCtx &ctx);
+
     /** Redirect fetch to the given block / architectural index. */
     void redirectFetch(BlockId next, std::uint64_t arch_idx);
 
     BlockCtx *findCtx(DynBlockSeq seq);
+    /** Drop the block's _ctxBySeq entry; call before it leaves _inflight. */
+    void retireCtx(const BlockCtx &ctx);
 
     /**
      * Host wall-clock deadline poll, engine-independent: counts
@@ -289,6 +294,13 @@ class Processor
     std::unique_ptr<RegUnit> _regs;
     std::unique_ptr<lsq::LoadStoreQueue> _lsq;
     std::vector<std::unique_ptr<ExecNode>> _nodes;
+    /**
+     * Bit n set whenever node n may have work: set when an operand is
+     * delivered to it or a block maps a slot onto it, cleared by
+     * runEvent once hasWork() is false. Every node with work has its
+     * bit set, so runEvent ticks only these nodes.
+     */
+    std::uint64_t _readyNodes = 0;
 
     // --- dynamic state -----------------------------------------------------
     /** Backs the per-frame localIdx pools (see BlockCtx::localIdx). */
@@ -298,6 +310,14 @@ class Processor
     /** Per-node fill scratch reused by every mapFetchedBlock. */
     std::vector<std::uint16_t> _nodeFill;
     std::deque<BlockCtx> _inflight; ///< oldest first
+    static constexpr std::size_t kCtxIndex = 256;
+    /**
+     * findCtx's direct-mapped index: entry seq % kCtxIndex points at
+     * the youngest in-flight block mapped with that residue, or is
+     * null. A deque keeps its elements in place on push_back and on
+     * pops at either end, so an entry stays valid until retireCtx.
+     */
+    std::array<BlockCtx *, kCtxIndex> _ctxBySeq{};
     std::vector<unsigned> _freeFrames;
     DynBlockSeq _nextSeq = 1;
     std::uint64_t _nextArchIdx = 0;

@@ -8,6 +8,15 @@
  * `hopLatency` cycles per traversed link, zero-cost local bypass
  * when source == destination.
  *
+ * In-flight messages wait in a calendar queue: a ring of kRingCycles
+ * per-cycle FIFO buckets starting at cycle `_base`, plus a min-heap
+ * on (arrival, send order) for the arrivals the ring cannot hold —
+ * those past its horizon and those already below its base. Delivery
+ * is in (arrival, send order), exactly as one global heap would give;
+ * deliver() says why. Send and delivery cost O(1) per message while
+ * the ring holds it, and finding the next arrival is a bit scan, so
+ * empty cycles cost nothing.
+ *
  * Mesh is a class template over the payload so the network layer
  * stays independent of core message formats.
  */
@@ -16,10 +25,13 @@
 #define EDGE_NET_MESH_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "chaos/chaos.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "net/route.hh"
 
@@ -43,6 +55,9 @@ template <typename Payload>
 class Mesh
 {
   public:
+    /** Cycles the bucket ring spans (one bit each in _occupied). */
+    static constexpr unsigned kRingCycles = 64;
+
     Mesh(const MeshParams &params, StatSet &stats)
         : _p(params),
           _linkFree(numLinks(_p.geom), 0),
@@ -55,9 +70,6 @@ class Mesh
           _queued(stats.counter(_p.statPrefix + ".queue_cycles",
                                 "cycles spent waiting for links"))
     {
-        // Longest X-Y route in the mesh; sized once so per-message
-        // routing never allocates.
-        _route.reserve(_p.geom.rows + _p.geom.cols);
     }
 
     /**
@@ -65,19 +77,47 @@ class Mesh
      * destination's deliver phase at the returned cycle.
      */
     Cycle
-    send(Cycle now, Coord src, Coord dst, Payload payload)
+    send(Cycle now, Coord src, Coord dst, const Payload &payload)
     {
         ++_sent;
         Cycle t = now;
         if (!(src == dst)) {
-            routeXY(_p.geom, src, dst, _route);
-            for (LinkId link : _route) {
-                Cycle start = std::max(t, _linkFree[link]);
-                _queued += start - t;
-                _linkFree[link] = start + 1;
-                t = start + _p.hopLatency;
-                ++_hops;
-            }
+            const MeshGeom &g = _p.geom;
+            panic_if(src.row >= g.rows || src.col >= g.cols ||
+                         dst.row >= g.rows || dst.col >= g.cols,
+                     "coordinate outside the %ux%u mesh", g.rows,
+                     g.cols);
+            // X-Y walk, reserving each link as it is reached: along
+            // the source row to the destination column, then along
+            // that column. Link ids as in linkFrom(); a step east or
+            // west moves 4 ids, a step south or north 4 * cols.
+            Cycle queued = 0;
+            auto walk = [&](LinkId link, std::int64_t stride,
+                            unsigned steps) {
+                for (; steps; --steps) {
+                    Cycle start = std::max(t, _linkFree[link]);
+                    queued += start - t;
+                    _linkFree[link] = start + 1;
+                    t = start + _p.hopLatency;
+                    link = static_cast<LinkId>(link + stride);
+                }
+            };
+            unsigned dx = src.col < dst.col ? dst.col - src.col
+                                            : src.col - dst.col;
+            unsigned dy = src.row < dst.row ? dst.row - src.row
+                                            : src.row - dst.row;
+            auto row_stride = static_cast<std::int64_t>(4 * g.cols);
+            if (src.col < dst.col)
+                walk(linkFrom(g, src, East), 4, dx);
+            else
+                walk(linkFrom(g, src, West), -4, dx);
+            Coord turn{src.row, dst.col};
+            if (src.row < dst.row)
+                walk(linkFrom(g, turn, South), row_stride, dy);
+            else
+                walk(linkFrom(g, turn, North), -row_stride, dy);
+            _hops += dx + dy;
+            _queued += queued;
         }
         if (_p.chaos) {
             // Chaos: hold this message on a congested virtual channel
@@ -85,40 +125,73 @@ class Mesh
             // bit-identical copy later. Consumers drop the copy as a
             // stale wave — duplicate delivery is idempotent.
             t += _p.chaos->hopJitter();
-            if (_p.chaos->duplicate()) {
-                pushEvent(Event{t + _p.chaos->duplicateSkew(),
-                                _nextSeq++, dst, payload});
-            }
+            if (_p.chaos->duplicate())
+                push(t + _p.chaos->duplicateSkew(), dst, payload);
         }
-        pushEvent(Event{t, _nextSeq++, dst, std::move(payload)});
+        push(t, dst, payload);
         return t;
     }
 
     /**
-     * Deliver every message that has arrived by cycle `now`.
+     * Deliver every message that has arrived by cycle `now`, including
+     * any that `fn` itself sends with an arrival at or before `now`.
      * @param fn invoked as fn(Coord dst, Payload &&msg) in a
      *        deterministic (arrival time, send order) order
+     *
+     * Order: the heap first while its top arrives no later than the
+     * earliest non-empty bucket, then that bucket in FIFO order. This
+     * is exactly (arrival, send order) because send order only rises
+     * and `_base` never falls (reset() empties the queue before it
+     * lowers the base). Heap events below the base were sent after
+     * that cycle's bucket had drained (the base moves past a cycle
+     * only at the end of a call that emptied its bucket), so for them
+     * the bucket stays empty. A heap event at cycle c >= the base was
+     * sent before c came within kRingCycles of the base, so before
+     * anything in c's bucket.
      */
     template <typename Fn>
     void
     deliver(Cycle now, Fn &&fn)
     {
-        // _inFlight is an explicit min-heap (not a priority_queue)
-        // so the due event can be MOVED out: pop_heap shifts it to
-        // the back, where it is ours to take — the payload is never
-        // copied on delivery.
-        while (!_inFlight.empty() && _inFlight.front().arrival <= now) {
-            std::pop_heap(_inFlight.begin(), _inFlight.end(),
-                          laterThan);
-            Event ev = std::move(_inFlight.back());
-            _inFlight.pop_back();
-            ++_delivered;
-            fn(ev.dst, std::move(ev.payload));
+        for (;;) {
+            Cycle ring = earliestBucket();
+            bool from_heap = !_far.empty() && _far.front().arrival <= now &&
+                             _far.front().arrival <= ring;
+            if (!from_heap && (!_occupied || ring > now))
+                break;
+            if (from_heap) {
+                // Explicit heap (not a priority_queue) so the due
+                // event is moved out, never copied.
+                std::pop_heap(_far.begin(), _far.end(), laterThan);
+                Event ev = std::move(_far.back());
+                _far.pop_back();
+                hand(ev, fn);
+            } else {
+                unsigned slot = static_cast<unsigned>(ring % kRingCycles);
+                Bucket &b = _ring[slot];
+                std::uint32_t i = b.head;
+                // Moved out before `fn` runs: a send from `fn` may
+                // grow the pool.
+                Event ev = std::move(_pool[i].ev);
+                b.head = _pool[i].next;
+                if (b.head == kNil) {
+                    b.tail = kNil;
+                    _occupied &= ~(std::uint64_t{1} << slot);
+                }
+                _pool[i].next = _free;
+                _free = i;
+                hand(ev, fn);
+            }
         }
+        // Everything due by `now` is gone, so the ring may start at
+        // now + 1: later sends for [now + 1, now + kRingCycles] then
+        // land in buckets.
+        if (now + 1 > _base)
+            _base = now + 1;
     }
 
-    bool empty() const { return _inFlight.empty(); }
-    std::size_t inFlight() const { return _inFlight.size(); }
+    bool empty() const { return _count == 0; }
+    std::size_t inFlight() const { return _count; }
 
     /**
      * Arrival cycle of the earliest in-flight message, or ~Cycle{0}
@@ -128,14 +201,21 @@ class Mesh
     Cycle
     nextArrival() const
     {
-        return _inFlight.empty() ? ~Cycle{0} : _inFlight.front().arrival;
+        Cycle ring = earliestBucket();
+        return _far.empty() ? ring : std::min(ring, _far.front().arrival);
     }
 
     /** Drop all in-flight traffic and link state (machine reset). */
     void
     reset()
     {
-        _inFlight.clear();
+        _ring.fill(Bucket{});
+        _pool.clear();
+        _free = kNil;
+        _occupied = 0;
+        _base = 0;
+        _far.clear();
+        _count = 0;
         std::fill(_linkFree.begin(), _linkFree.end(), 0);
     }
 
@@ -150,6 +230,22 @@ class Mesh
         Payload payload;
     };
 
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** A pooled event; `next` chains a bucket's FIFO or the free list. */
+    struct Node
+    {
+        Event ev;
+        std::uint32_t next;
+    };
+
+    /** Messages arriving in one cycle: a FIFO of pool nodes. */
+    struct Bucket
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
     /** Heap predicate: a sorts after b (min-heap on arrival, seq). */
     static bool
     laterThan(const Event &a, const Event &b)
@@ -158,17 +254,67 @@ class Mesh
                                       : a.seq > b.seq;
     }
 
+    template <typename Fn>
     void
-    pushEvent(Event &&ev)
+    hand(Event &ev, Fn &fn)
     {
-        _inFlight.push_back(std::move(ev));
-        std::push_heap(_inFlight.begin(), _inFlight.end(), laterThan);
+        --_count;
+        ++_delivered;
+        fn(ev.dst, std::move(ev.payload));
+    }
+
+    /** Cycle of the earliest non-empty bucket, ~Cycle{0} if none. */
+    Cycle
+    earliestBucket() const
+    {
+        if (!_occupied)
+            return ~Cycle{0};
+        // Rotate so bit 0 is _base's bucket; the lowest set bit is
+        // then the offset of the earliest occupied cycle.
+        auto shift = static_cast<int>(_base % kRingCycles);
+        return _base + static_cast<Cycle>(
+                           std::countr_zero(std::rotr(_occupied, shift)));
+    }
+
+    /** Queue a copy of `payload` for delivery at `arrival`. */
+    void
+    push(Cycle arrival, Coord dst, const Payload &payload)
+    {
+        ++_count;
+        std::uint64_t seq = _nextSeq++;
+        if (arrival < _base || arrival - _base >= kRingCycles) {
+            _far.push_back(Event{arrival, seq, dst, payload});
+            std::push_heap(_far.begin(), _far.end(), laterThan);
+            return;
+        }
+        // A free node if there is one, else a new one.
+        std::uint32_t i = _free;
+        if (i != kNil) {
+            _free = _pool[i].next;
+            _pool[i] = Node{Event{arrival, seq, dst, payload}, kNil};
+        } else {
+            i = static_cast<std::uint32_t>(_pool.size());
+            _pool.push_back(Node{Event{arrival, seq, dst, payload}, kNil});
+        }
+        unsigned slot = static_cast<unsigned>(arrival % kRingCycles);
+        Bucket &b = _ring[slot];
+        if (b.tail == kNil)
+            b.head = i;
+        else
+            _pool[b.tail].next = i;
+        b.tail = i;
+        _occupied |= std::uint64_t{1} << slot;
     }
 
     MeshParams _p;
     std::vector<Cycle> _linkFree;
-    std::vector<Event> _inFlight; ///< min-heap, see deliver()
-    std::vector<LinkId> _route;   ///< scratch reused by every send
+    std::array<Bucket, kRingCycles> _ring; ///< cycle c: _ring[c % kRingCycles]
+    std::vector<Node> _pool;     ///< storage of every bucket's events
+    std::uint32_t _free = kNil;  ///< free-list head in _pool
+    std::uint64_t _occupied = 0; ///< bit c % kRingCycles: bucket non-empty
+    Cycle _base = 0;             ///< ring: [_base, _base + kRingCycles)
+    std::vector<Event> _far;     ///< min-heap: past the horizon or below _base
+    std::size_t _count = 0;      ///< messages in flight
     std::uint64_t _nextSeq = 0;
 
     Counter &_sent;

@@ -37,20 +37,23 @@ struct MeshGeom
     unsigned cols = 5; ///< grid cols + 1 edge column (LSQ / D-cache)
 };
 
-/**
- * The sequence of links a packet traverses from src to dst under
- * X-then-Y dimension-order routing. Empty when src == dst.
- */
-std::vector<LinkId> routeXY(const MeshGeom &geom, Coord src, Coord dst);
+/** The four outgoing links of a router. */
+enum LinkDir : unsigned { East = 0, West = 1, South = 2, North = 3 };
+
+/** The link leaving router `at` in direction `dir`. */
+inline LinkId
+linkFrom(const MeshGeom &geom, Coord at, LinkDir dir)
+{
+    return (static_cast<LinkId>(at.row) * geom.cols + at.col) * 4 + dir;
+}
 
 /**
- * Allocation-free variant: fills `path` (cleared first) instead of
- * returning a fresh vector. The mesh calls this once per message
- * with a reused scratch vector, so routing stops allocating on the
- * simulator's hottest path.
+ * The sequence of links a packet traverses from src to dst under
+ * X-then-Y dimension-order routing. Empty when src == dst. The mesh
+ * walks the same links inline in Mesh::send; this is the reference
+ * its tests compare against.
  */
-void routeXY(const MeshGeom &geom, Coord src, Coord dst,
-             std::vector<LinkId> &path);
+std::vector<LinkId> routeXY(const MeshGeom &geom, Coord src, Coord dst);
 
 /** Number of hops between two coordinates (Manhattan distance). */
 unsigned hopCount(Coord src, Coord dst);

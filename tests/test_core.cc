@@ -402,5 +402,32 @@ TEST(Processor, SingleBlockProgramHalts)
     EXPECT_EQ(r.committedBlocks, 1u);
 }
 
+TEST(Processor, ZeroOperandInstructionIssuesTheCycleAfterMapping)
+{
+    // The block's MOVIs need no operand, so no message ever wakes
+    // their nodes: the event engine must tick them because mapping
+    // marked them ready, on the cycle after mapping. The tick engine,
+    // which ticks every node every cycle, pins that cycle.
+    compiler::ProgramBuilder pb("movi");
+    auto &b = pb.newBlock("only");
+    b.writeReg(1, b.imm(7));
+    b.writeReg(2, b.imm(9));
+    b.branchHalt();
+    isa::Program prog = pb.build();
+
+    core::MachineConfig tick_cfg = sim::Configs::dsre();
+    tick_cfg.engine = EngineKind::Tick;
+    sim::RunResult tick = sim::Simulator(prog, tick_cfg).run(100'000);
+    sim::RunResult event =
+        sim::Simulator(prog, sim::Configs::dsre()).run(100'000);
+
+    ASSERT_TRUE(tick.halted);
+    ASSERT_TRUE(event.halted);
+    EXPECT_TRUE(event.archMatch);
+    EXPECT_EQ(event.cycles, tick.cycles);
+    EXPECT_EQ(event.counter("core.alu_issues"),
+              tick.counter("core.alu_issues"));
+}
+
 } // namespace
 } // namespace edge::core

@@ -1,11 +1,15 @@
 /**
  * @file
- * Pinned timing: every kernel x mechanism x {1, 16} frames at 40
- * iterations must reproduce the checked-in table
- * (timing_golden.tsv) exactly — cycles, committed instructions and
- * blocks, and the LSQ / flush counters that carry the paper's
- * science. Architectural correctness alone cannot catch a
- * "performance" change that silently moves Figure 5; this table can.
+ * Pinned timing: every kernel x mechanism x {1, 8, 16} frames at 40
+ * iterations, plus every kernel under DSRE and blind+flush at 16
+ * frames with the `net` and `heavy` chaos profiles (seeds 1 and 2),
+ * must reproduce the checked-in table (timing_golden.tsv) exactly —
+ * cycles, committed instructions and blocks, and the LSQ / flush
+ * counters that carry the paper's science. Architectural correctness
+ * alone cannot catch a "performance" change that silently moves
+ * Figure 5; this table can. The chaos rows pin the operand mesh's
+ * delivery order: duplicates and hop jitter reorder arrivals, so any
+ * change to that order moves their cycles.
  *
  * A change that means to move timing regenerates the table and says
  * in its change log which cells moved and why:
@@ -21,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/chaos.hh"
 #include "sim/run_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -37,7 +42,13 @@ const std::vector<std::string> kConfigs = {
     "conservative", "blind-flush", "storesets-flush",
     "dsre",         "storesets-dsre", "oracle",
 };
-const std::vector<unsigned> kFrames = {1, 16};
+const std::vector<unsigned> kFrames = {1, 8, 16};
+
+/** Chaos rows: these mechanisms x profiles x seeds at kChaosFrames. */
+const std::vector<std::string> kChaosConfigs = {"dsre", "blind-flush"};
+const std::vector<std::string> kChaosProfiles = {"net", "heavy"};
+const std::vector<std::uint64_t> kChaosSeeds = {1, 2};
+constexpr unsigned kChaosFrames = 16;
 const std::vector<std::string> kCounters = {
     "lsq.violations",   "lsq.resends",     "lsq.deferrals",
     "lsq.upgrades",     "lsq.forwards",    "lsq.policy_holds",
@@ -48,7 +59,8 @@ const std::vector<std::string> kCounters = {
 std::string
 header()
 {
-    std::string h = "kernel\tconfig\tframes\tcycles\tinsts\tblocks";
+    std::string h =
+        "kernel\tconfig\tchaos\tframes\tcycles\tinsts\tblocks";
     for (const std::string &c : kCounters)
         h += "\t" + c;
     return h;
@@ -67,18 +79,29 @@ simulateRows()
 
     std::vector<sim::RunJob> jobs;
     std::vector<std::string> keys;
+    auto add = [&](std::size_t k, const std::string &config,
+                   const std::string &profile, std::uint64_t seed,
+                   unsigned frames) {
+        sim::RunJob job;
+        job.program = &progs[k];
+        job.config = sim::Configs::byName(config);
+        job.config.core.numFrames = frames;
+        job.config.chaos = chaos::ChaosParams::byProfile(
+            chaos::ChaosParams::profileByName(profile), seed);
+        std::string chaos =
+            seed ? profile + ":" + std::to_string(seed) : profile;
+        jobs.push_back(std::move(job));
+        keys.push_back(kernels[k] + "\t" + config + "\t" + chaos +
+                       "\t" + std::to_string(frames));
+    };
     for (std::size_t k = 0; k < kernels.size(); ++k) {
-        for (const std::string &config : kConfigs) {
-            for (unsigned frames : kFrames) {
-                sim::RunJob job;
-                job.program = &progs[k];
-                job.config = sim::Configs::byName(config);
-                job.config.core.numFrames = frames;
-                jobs.push_back(std::move(job));
-                keys.push_back(kernels[k] + "\t" + config + "\t" +
-                               std::to_string(frames));
-            }
-        }
+        for (const std::string &config : kConfigs)
+            for (unsigned frames : kFrames)
+                add(k, config, "none", 0, frames);
+        for (const std::string &config : kChaosConfigs)
+            for (const std::string &profile : kChaosProfiles)
+                for (std::uint64_t seed : kChaosSeeds)
+                    add(k, config, profile, seed, kChaosFrames);
     }
 
     std::vector<sim::RunResult> results = sim::RunPool(4).runAll(jobs);
