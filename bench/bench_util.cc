@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "sim/run_pool.hh"
 #include "super/supervisor.hh"
 #include "super/worker.hh"
+#include "triage/jsonio.hh"
 #include "triage/repro.hh"
 
 namespace edge::bench {
@@ -80,22 +82,11 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
             args.isolate = true;
         } else if (arg == "--cell-timeout-ms") {
             args.cellTimeoutMs = parseU64(arg, next());
-        } else if (arg == "--engine") {
-            args.engine = next();
-            fatal_if(args.engine != "tick" && args.engine != "event" &&
-                         args.engine != "both",
-                     "--engine expects 'tick', 'event' or 'both'");
-        } else if (arg == "--baseline") {
-            args.baselinePath = next();
-        } else if (arg == "--max-regress") {
-            args.maxRegressPct = parseDouble(arg, next());
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [iterations] [-j N] [--json path] "
                         "[--repro-dir dir] [--isolate] "
                         "[--journal-dir dir] [--resume journal] "
-                        "[--cell-timeout-ms N] "
-                        "[--engine tick|event|both] "
-                        "[--baseline json] [--max-regress pct]\n",
+                        "[--cell-timeout-ms N]\n",
                         argv[0]);
             std::exit(0);
         } else if (!arg.empty() && arg[0] != '-') {
@@ -104,9 +95,7 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
             fatal("unknown bench argument '%s' "
                   "(usage: [iterations] [-j N] [--json path] "
                   "[--repro-dir dir] [--isolate] [--journal-dir dir] "
-                  "[--resume journal] [--cell-timeout-ms N] "
-                  "[--engine tick|event|both] "
-                  "[--baseline json] [--max-regress pct])",
+                  "[--resume journal] [--cell-timeout-ms N])",
                   arg.c_str());
         }
     }
@@ -303,96 +292,60 @@ runMatrix(const std::vector<std::string> &kernels,
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 void
 writeJson(const std::string &path, const std::string &bench_name,
           const BenchArgs &args, const std::vector<RunRow> &rows,
-          double wall_seconds)
+          double wall_seconds, std::size_t quarantined,
+          std::size_t fatal_cells)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot write JSON to %s", path.c_str());
-        return;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"iterations\": %llu,\n"
-                 "  \"threads\": %u,\n"
-                 "  \"engine\": \"%s\",\n"
-                 "  \"host\": %s,\n"
-                 "  \"wall_seconds\": %.3f,\n"
-                 "  \"cells\": [\n",
-                 jsonEscape(bench_name).c_str(),
-                 static_cast<unsigned long long>(args.iterations),
-                 args.threads == 0 ? ThreadPool::defaultThreads()
-                                   : args.threads,
-                 jsonEscape(args.engine).c_str(),
-                 hostInfoJson().c_str(), wall_seconds);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const RunRow &row = rows[i];
-        const sim::RunResult &r = row.result;
-        std::fprintf(
-            f,
-            "    {\"kernel\": \"%s\", \"config\": \"%s\", "
-            "\"seed\": %llu, \"cycles\": %llu, \"insts\": %llu, "
-            "\"blocks\": %llu, \"ipc\": %.4f, \"ok\": %s, "
-            "\"violations\": %llu, \"resends\": %llu, "
-            "\"reexecs\": %llu, \"upgrades\": %llu, "
-            "\"flushes\": %llu, \"error\": \"%s\", "
-            "\"retries\": %u, \"backoff_ms\": %llu, "
-            "\"repro\": \"%s\"}%s\n",
-            jsonEscape(row.spec.kernel).c_str(),
-            jsonEscape(row.spec.config).c_str(),
-            static_cast<unsigned long long>(row.spec.seed),
-            static_cast<unsigned long long>(r.cycles),
-            static_cast<unsigned long long>(r.committedInsts),
-            static_cast<unsigned long long>(r.committedBlocks),
-            r.ipc(), row.ok() ? "true" : "false",
-            static_cast<unsigned long long>(r.violations),
-            static_cast<unsigned long long>(r.resends),
-            static_cast<unsigned long long>(r.reexecs),
-            static_cast<unsigned long long>(r.upgrades),
-            static_cast<unsigned long long>(r.ctrlFlushes +
-                                            r.violFlushes),
-            jsonEscape(r.error.ok() ? "" : r.error.format()).c_str(),
-            r.retries,
-            static_cast<unsigned long long>(r.backoffMs),
-            jsonEscape(row.reproPath).c_str(),
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::size_t quarantined = 0, fatal_cells = 0;
+    using triage::JsonValue;
+    const HostInfo &h = hostInfo();
+    JsonValue host = JsonValue::object();
+    host.set("cpu_model", JsonValue::str(h.cpuModel));
+    host.set("cores", JsonValue::u64(h.cores));
+    host.set("build_type", JsonValue::str(h.buildType));
+    host.set("sanitizer", JsonValue::str(h.sanitizer));
+
+    JsonValue cells = JsonValue::array();
     for (const RunRow &row : rows) {
-        quarantined += row.quarantined() ? 1 : 0;
-        fatal_cells += row.fatalTransient() ? 1 : 0;
+        const sim::RunResult &r = row.result;
+        JsonValue c = JsonValue::object();
+        c.set("kernel", JsonValue::str(row.spec.kernel));
+        c.set("config", JsonValue::str(row.spec.config));
+        c.set("seed", JsonValue::u64(row.spec.seed));
+        c.set("cycles", JsonValue::u64(r.cycles));
+        c.set("insts", JsonValue::u64(r.committedInsts));
+        c.set("blocks", JsonValue::u64(r.committedBlocks));
+        c.set("ipc", JsonValue::number(r.ipc()));
+        c.set("ok", JsonValue::boolean(row.ok()));
+        c.set("violations", JsonValue::u64(r.violations));
+        c.set("resends", JsonValue::u64(r.resends));
+        c.set("reexecs", JsonValue::u64(r.reexecs));
+        c.set("upgrades", JsonValue::u64(r.upgrades));
+        c.set("flushes", JsonValue::u64(r.ctrlFlushes + r.violFlushes));
+        c.set("error", JsonValue::str(r.error.ok() ? ""
+                                                   : r.error.format()));
+        c.set("retries", JsonValue::u64(r.retries));
+        c.set("backoff_ms", JsonValue::u64(r.backoffMs));
+        c.set("repro", JsonValue::str(row.reproPath));
+        cells.push(std::move(c));
     }
-    std::fprintf(f,
-                 "  ],\n"
-                 "  \"quarantined\": %zu,\n"
-                 "  \"fatal\": %zu\n"
-                 "}\n",
-                 quarantined, fatal_cells);
-    std::fclose(f);
+
+    JsonValue doc = JsonValue::object();
+    doc.set("bench", JsonValue::str(bench_name));
+    doc.set("iterations", JsonValue::u64(args.iterations));
+    doc.set("threads", JsonValue::u64(args.threads == 0
+                                          ? ThreadPool::defaultThreads()
+                                          : args.threads));
+    doc.set("host", std::move(host));
+    doc.set("wall_seconds", JsonValue::number(wall_seconds));
+    doc.set("cells", std::move(cells));
+    doc.set("quarantined", JsonValue::u64(quarantined));
+    doc.set("fatal", JsonValue::u64(fatal_cells));
+    // Pretty dump(): readers scan for `"insts": N` with the space.
+    std::ofstream out(path);
+    if (!(out << doc.dump()))
+        warn("cannot write JSON to %s", path.c_str());
 }
 
 } // namespace
@@ -442,7 +395,8 @@ finishBench(const std::string &bench_name, const BenchArgs &args,
                          row.reproPath.c_str());
     }
     if (!args.jsonPath.empty())
-        writeJson(args.jsonPath, bench_name, args, rows, wall);
+        writeJson(args.jsonPath, bench_name, args, rows, wall,
+                  quarantined, fatal_cells);
     if (quarantined + fatal_cells)
         std::fprintf(stderr,
                      "%zu/%zu cells failed (%zu quarantined "

@@ -109,19 +109,6 @@ struct BenchArgs
     std::string journalDir;      ///< --journal-dir
     std::string resumePath;      ///< --resume <journal>
     std::uint64_t cellTimeoutMs = 0; ///< --cell-timeout-ms
-    /**
-     * Cycle-loop engine the bench should run (--engine). "tick" or
-     * "event" select one; bench_throughput also accepts "both" and
-     * then measures the tick/event speedup per cell.
-     */
-    std::string engine = "event";
-    /**
-     * Baseline JSON to diff against (--baseline; bench_throughput):
-     * prints per-cell current/baseline ratios and fails the run when
-     * the geomean throughput regresses more than maxRegressPct.
-     */
-    std::string baselinePath;
-    double maxRegressPct = 25.0; ///< --max-regress <pct>
     std::chrono::steady_clock::time_point start; ///< harness start
 };
 

@@ -37,18 +37,6 @@ cpuModelName()
     return model;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 const HostInfo &
@@ -63,18 +51,6 @@ hostInfo()
         return h;
     }();
     return info;
-}
-
-std::string
-hostInfoJson()
-{
-    const HostInfo &h = hostInfo();
-    std::string out = "{\"cpu_model\": \"" + jsonEscape(h.cpuModel) +
-                      "\", \"cores\": " + std::to_string(h.cores) +
-                      ", \"build_type\": \"" + jsonEscape(h.buildType) +
-                      "\", \"sanitizer\": \"" + jsonEscape(h.sanitizer) +
-                      "\"}";
-    return out;
 }
 
 } // namespace edge

@@ -1,11 +1,9 @@
 /**
  * @file
- * Host provenance for benchmark artifacts. BENCH_*.json points are
- * wall-clock measurements, so trajectory files collected on
- * different machines are not directly comparable; stamping the CPU
- * model, core count and build type into every JSON emission lets the
- * diff tooling (bench_throughput --baseline) warn when it is about
- * to compare apples to oranges.
+ * Host provenance for benchmark artifacts. Wall-clock measurements
+ * taken on different machines are not directly comparable, so the
+ * bench `--json` files and perfbench stamp the CPU model, core count
+ * and build type next to every timing.
  */
 
 #ifndef EDGE_COMMON_HOSTINFO_HH
@@ -25,9 +23,6 @@ struct HostInfo
 
 /** The running host's provenance (cached after the first call). */
 const HostInfo &hostInfo();
-
-/** JSON object literal: {"cpu_model": ..., "cores": N, ...}. */
-std::string hostInfoJson();
 
 } // namespace edge
 

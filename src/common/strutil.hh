@@ -46,13 +46,6 @@ std::uint64_t
 parseU64(const std::string &flag, const std::string &text,
          std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
-/**
- * Parse the whole of `text` as the non-negative, finite decimal
- * number of flag `flag` ("25", "0.5", "1e3"); fatal() naming the flag
- * otherwise.
- */
-double parseDouble(const std::string &flag, const std::string &text);
-
 } // namespace edge
 
 #endif // EDGE_COMMON_STRUTIL_HH

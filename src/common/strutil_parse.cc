@@ -3,7 +3,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -25,21 +24,6 @@ parseU64(const std::string &flag, const std::string &text,
              text.c_str());
     fatal_if(overflow || v > max, "%s: %s is out of range (at most %llu)",
              flag.c_str(), text.c_str(), (unsigned long long)max);
-    return v;
-}
-
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    double v = 0.0;
-    const char *end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    fatal_if(text.empty() ||
-                 !(std::isdigit(static_cast<unsigned char>(text[0])) ||
-                   text[0] == '.') ||
-                 ec != std::errc() || ptr != end || !std::isfinite(v),
-             "%s expects a non-negative number, got '%s'", flag.c_str(),
-             text.c_str());
     return v;
 }
 

@@ -50,10 +50,6 @@ TEST(Strutil, ParsesWellFormedNumbers)
     EXPECT_EQ(parseU64("--seed", "18446744073709551615"),
               18446744073709551615ull);
     EXPECT_EQ(parseU64("-j", "4294967295", 4294967295u), 4294967295u);
-    EXPECT_DOUBLE_EQ(parseDouble("--max-regress", "25"), 25.0);
-    EXPECT_DOUBLE_EQ(parseDouble("--max-regress", "0.5"), 0.5);
-    EXPECT_DOUBLE_EQ(parseDouble("--max-regress", ".5"), 0.5);
-    EXPECT_DOUBLE_EQ(parseDouble("--max-regress", "1e3"), 1000.0);
 }
 
 TEST(StrutilDeathTest, RejectsMalformedIntegersNamingTheFlag)
@@ -71,22 +67,6 @@ TEST(StrutilDeathTest, RejectsMalformedIntegersNamingTheFlag)
                 "--seed: .* out of range");
     EXPECT_EXIT(parseU64("-j", "4294967296", 4294967295u), exits1,
                 "-j: .* out of range");
-}
-
-TEST(StrutilDeathTest, RejectsMalformedNumbersNamingTheFlag)
-{
-    const auto exits1 = ::testing::ExitedWithCode(1);
-    EXPECT_EXIT(parseDouble("--max-regress", ""), exits1, "--max-regress");
-    EXPECT_EXIT(parseDouble("--max-regress", "2x"), exits1,
-                "--max-regress");
-    EXPECT_EXIT(parseDouble("--max-regress", "-5"), exits1,
-                "--max-regress");
-    EXPECT_EXIT(parseDouble("--max-regress", "inf"), exits1,
-                "--max-regress");
-    EXPECT_EXIT(parseDouble("--max-regress", "nan"), exits1,
-                "--max-regress");
-    EXPECT_EXIT(parseDouble("--max-regress", "1e999"), exits1,
-                "--max-regress");
 }
 
 TEST(Stats, CounterBasics)

@@ -7,10 +7,10 @@
  *  - common/arena: the bump arena behind per-block bookkeeping;
  *  - core/program_image: one decode/validate/place per distinct
  *    program, shared read-only across Processors;
- *  - the engine differential: `--engine tick` and `--engine event`
- *    must produce bit-identical RunResults — cycles, every counter,
- *    every histogram bucket, and (under chaos) the same structured
- *    failure — across kernels x mechanisms x chaos seeds and across
+ *  - the engine differential: `EngineKind::Tick` and
+ *    `EngineKind::Event` must produce bit-identical RunResults —
+ *    cycles, every counter, every histogram bucket, and (under chaos)
+ *    the same structured failure — across kernels x mechanisms x chaos seeds and across
  *    20 fuzz-generated programs. This is the guardrail that lets the
  *    wake-list engine replace the ticking loop as the default.
  */

@@ -530,6 +530,17 @@ TEST(TriageQuarantine, FailingCellDoesNotPoisonTheGrid)
               rows[0].reproPath);
     EXPECT_FALSE(cells->items()[0].getBool("ok"));
     EXPECT_TRUE(cells->items()[1].getBool("ok"));
+    // Each cell's counts, and the `"insts": N` spelling that
+    // perfbench's paper-repro scan of these files depends on.
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const sim::RunResult &r = rows[i].result;
+        EXPECT_EQ(cells->items()[i].getU64("insts"), r.committedInsts);
+        EXPECT_EQ(cells->items()[i].getU64("cycles"), r.cycles);
+        EXPECT_NE(buf.str().find("\"insts\": " +
+                                 std::to_string(r.committedInsts)),
+                  std::string::npos);
+    }
+    EXPECT_GT(rows[1].result.committedInsts, 0u);
 
     // The captured repro replays to the same deterministic failure.
     triage::ReproSpec spec;

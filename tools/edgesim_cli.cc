@@ -67,7 +67,7 @@ usage()
         "               [--chaos-profile <name>] [--chaos-seed N]\n"
         "               [--check-invariants] [--chaos-sweep N]\n"
         "               [--mutate <name>] [--mutate-node N]\n"
-        "               [--wall-deadline-ms N] [--engine tick|event]\n"
+        "               [--wall-deadline-ms N]\n"
         "               [--capture-repro <dir>] [--minimize]\n"
         "               [-j N] [--set key=value ...]\n"
         "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
@@ -83,10 +83,6 @@ usage()
         "         signature, program embedded (with --minimize, also\n"
         "         a ddmin-shrunk .min.repro.json)\n"
         "  --list-kernels  print the kernel names, one per line\n"
-        "\n"
-        "  --engine tick|event  cycle-loop implementation (default\n"
-        "         event). Bit-identical results either way; tick is\n"
-        "         the original loop, kept as a differential reference\n"
         "\n"
         "  -j N   run grids / minimization on N worker threads\n"
         "         (default: hardware concurrency; results are\n"
@@ -363,7 +359,6 @@ main(int argc, char **argv)
     chaos::Mutation mutation = chaos::Mutation::None;
     unsigned mutation_node = 0;
     std::uint64_t wall_deadline_ms = 0;
-    core::EngineKind engine = core::MachineConfig{}.engine;
     std::string repro_dir;
     std::string replay_path;
     bool minimize = false;
@@ -439,10 +434,6 @@ main(int argc, char **argv)
             mutation_node = static_cast<unsigned>(nextU64(UINT_MAX));
         } else if (arg == "--wall-deadline-ms") {
             wall_deadline_ms = nextU64();
-        } else if (arg == "--engine") {
-            bool ok = false;
-            engine = core::engineByName(next(), &ok);
-            fatal_if(!ok, "--engine expects 'tick' or 'event'");
         } else if (arg == "--capture-repro") {
             repro_dir = next();
         } else if (arg == "--isolate") {
@@ -572,7 +563,6 @@ main(int argc, char **argv)
     cfg.chaos.mutationNode = mutation_node;
     cfg.checkInvariants = check_invariants;
     cfg.wallDeadlineMs = wall_deadline_ms;
-    cfg.engine = engine;
 
     triage::ProgramRef prog_ref{kernel, kp};
 
