@@ -36,8 +36,7 @@ main(int argc, char **argv)
     // sharing the kernel's reference execution.
     std::vector<RunRow> rows =
         runMatrix(wl::kernelNames(), {"dsre", "dsre-vp"},
-                  args.iterations, nullptr, args,
-                  "bench_ext_value_pred");
+                  args.iterations, nullptr, args.threads);
 
     std::vector<double> ratios;
     std::size_t idx = 0;

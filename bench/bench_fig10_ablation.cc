@@ -73,7 +73,7 @@ main(int argc, char **argv)
             specs.push_back(std::move(spec));
         }
     }
-    std::vector<RunRow> rows = runSpecs(specs, args, "bench_fig10_ablation");
+    std::vector<RunRow> rows = runSpecs(specs, args.threads);
 
     double base_ipc = 0.0;
     std::size_t idx = 0;

@@ -40,7 +40,7 @@ main(int argc, char **argv)
             }
         }
     }
-    std::vector<RunRow> rows = runSpecs(specs, args, "bench_fig11_network");
+    std::vector<RunRow> rows = runSpecs(specs, args.threads);
 
     std::map<std::tuple<std::string, std::string, unsigned>, double>
         ipc;

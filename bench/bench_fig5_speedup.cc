@@ -38,8 +38,8 @@ main(int argc, char **argv)
     // The whole kernel x mechanism grid runs on the pool; rows come
     // back kernel-major in submission order.
     std::vector<RunRow> rows =
-        runMatrix(kernels, configs, args.iterations, nullptr, args,
-                  "bench_fig5_speedup");
+        runMatrix(kernels, configs, args.iterations, nullptr,
+                  args.threads);
 
     std::map<std::string, std::vector<double>> speedups;
     std::vector<double> dsre_vs_ss, dsre_vs_oracle;

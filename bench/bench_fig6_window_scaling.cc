@@ -44,7 +44,7 @@ main(int argc, char **argv)
             }
         }
     }
-    std::vector<RunRow> rows = runSpecs(specs, args, "bench_fig6_window_scaling");
+    std::vector<RunRow> rows = runSpecs(specs, args.threads);
 
     std::map<std::tuple<std::string, std::string, unsigned>, double>
         ipc;

@@ -44,7 +44,7 @@ main(int argc, char **argv)
     // One run per (kernel, config); reuse across the metric tables.
     std::vector<RunRow> rows = runMatrix(wl::kernelNames(), configs,
                                          args.iterations, nullptr,
-                                         args, "bench_fig7_violations");
+                                         args.threads);
 
     for (const Metric &m : metrics) {
         std::printf("[%s]\n", m.name);

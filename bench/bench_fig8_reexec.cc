@@ -30,7 +30,7 @@ main(int argc, char **argv)
 
     std::vector<RunRow> rows = runMatrix(wl::kernelNames(), {"dsre"},
                                          args.iterations, nullptr,
-                                         args, "bench_fig8_reexec");
+                                         args.threads);
 
     std::size_t idx = 0;
     for (const auto &k : wl::kernelNames()) {

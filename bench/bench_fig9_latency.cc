@@ -50,7 +50,7 @@ main(int argc, char **argv)
             }
         }
     }
-    std::vector<RunRow> rows = runSpecs(specs, args, "bench_fig9_latency");
+    std::vector<RunRow> rows = runSpecs(specs, args.threads);
 
     std::map<std::tuple<std::string, std::string, unsigned>, double>
         ipc;

@@ -2,12 +2,9 @@
 
 #include <climits>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -17,8 +14,6 @@
 #include "common/strutil.hh"
 #include "common/thread_pool.hh"
 #include "sim/run_pool.hh"
-#include "super/supervisor.hh"
-#include "super/worker.hh"
 #include "triage/jsonio.hh"
 #include "triage/repro.hh"
 
@@ -45,12 +40,6 @@ RunRow::failure() const
 BenchArgs
 benchArgs(int argc, char **argv, std::uint64_t default_iters)
 {
-    // An --isolate grid re-execs this very binary (/proc/self/exe) as
-    // its worker; every bench main() calls benchArgs() first, so the
-    // worker dispatch lives here.
-    if (argc >= 2 && std::strcmp(argv[1], "--worker-cell") == 0)
-        std::exit(super::workerCellMain(std::cin, std::cout));
-
     BenchArgs args;
     args.iterations = default_iters;
     args.start = std::chrono::steady_clock::now();
@@ -72,21 +61,9 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
             args.jsonPath = next();
         } else if (arg == "--repro-dir") {
             args.reproDir = next();
-        } else if (arg == "--isolate") {
-            args.isolate = true;
-        } else if (arg == "--journal-dir") {
-            args.journalDir = next();
-            args.isolate = true;
-        } else if (arg == "--resume") {
-            args.resumePath = next();
-            args.isolate = true;
-        } else if (arg == "--cell-timeout-ms") {
-            args.cellTimeoutMs = parseU64(arg, next());
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [iterations] [-j N] [--json path] "
-                        "[--repro-dir dir] [--isolate] "
-                        "[--journal-dir dir] [--resume journal] "
-                        "[--cell-timeout-ms N]\n",
+                        "[--repro-dir dir]\n",
                         argv[0]);
             std::exit(0);
         } else if (!arg.empty() && arg[0] != '-') {
@@ -94,8 +71,7 @@ benchArgs(int argc, char **argv, std::uint64_t default_iters)
         } else {
             fatal("unknown bench argument '%s' "
                   "(usage: [iterations] [-j N] [--json path] "
-                  "[--repro-dir dir] [--isolate] [--journal-dir dir] "
-                  "[--resume journal] [--cell-timeout-ms N])",
+                  "[--repro-dir dir])",
                   arg.c_str());
         }
     }
@@ -154,100 +130,6 @@ runSpecs(const std::vector<RunSpec> &specs, unsigned threads)
     return rows;
 }
 
-namespace {
-
-/** The supervised grid: every spec as a sandboxed worker cell, run by
- *  the fork/exec supervisor. */
-std::vector<RunRow>
-runSpecsIsolated(const std::vector<RunSpec> &specs,
-                 const BenchArgs &args, const std::string &bench_name)
-{
-    super::installStopHandlers();
-    std::string journal_path;
-    if (!args.resumePath.empty())
-        journal_path = args.resumePath;
-    else if (!args.journalDir.empty())
-        journal_path =
-            args.journalDir + "/" + bench_name + ".journal";
-
-    // Repro capture stays in finishBench so isolated and in-process
-    // grids produce their .repro.json files through one code path.
-    super::SupervisorOptions so;
-    so.jobs = args.threads;
-    so.cellTimeoutMs = args.cellTimeoutMs;
-    so.journalPath = journal_path;
-    so.resume = !args.resumePath.empty();
-    super::Supervisor sup(std::move(so));
-
-    // One program hash per distinct (kernel, iterations, seed), same
-    // sharing key as the in-process pool.
-    using ProgKey =
-        std::tuple<std::string, std::uint64_t, std::uint64_t>;
-    std::map<ProgKey, std::uint64_t> hashes;
-
-    std::vector<super::CellSpec> cells;
-    cells.reserve(specs.size());
-    for (const RunSpec &spec : specs) {
-        super::CellSpec cell;
-        cell.program.kernel = spec.kernel;
-        cell.program.params.iterations = spec.iterations;
-        cell.program.params.seed = spec.seed;
-        ProgKey key{spec.kernel, spec.iterations, spec.seed};
-        auto it = hashes.find(key);
-        if (it == hashes.end())
-            it = hashes
-                     .emplace(key, triage::programHash(
-                                       triage::buildProgram(
-                                           cell.program)))
-                     .first;
-        cell.programHash = it->second;
-        cell.config = sim::Configs::byName(spec.config);
-        if (spec.tweak)
-            spec.tweak(cell.config);
-        cell.maxCycles = spec.maxCycles;
-        cells.push_back(std::move(cell));
-    }
-
-    std::vector<super::CellOutcome> outs = sup.runAll(cells);
-
-    bool interrupted = false;
-    std::vector<RunRow> rows;
-    rows.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (!outs[i].ran) {
-            interrupted = true;
-            continue;
-        }
-        RunRow row{specs[i], std::move(outs[i].result)};
-        row.reproPath = std::move(outs[i].reproPath);
-        rows.push_back(std::move(row));
-    }
-    if (interrupted) {
-        int sig = super::stopSignal() ? super::stopSignal() : SIGINT;
-        std::fprintf(stderr,
-                     "%s: interrupted — %zu cell(s) journaled this "
-                     "session, %zu replayed, %zu failure(s)\n",
-                     bench_name.c_str(), sup.completed(),
-                     sup.skipped(), sup.failures());
-        std::string hint = sup.resumeHint();
-        if (!hint.empty())
-            std::fprintf(stderr, "  %s\n", hint.c_str());
-        std::exit(128 + sig);
-    }
-    return rows;
-}
-
-} // namespace
-
-std::vector<RunRow>
-runSpecs(const std::vector<RunSpec> &specs, const BenchArgs &args,
-         const std::string &bench_name)
-{
-    if (args.isolate)
-        return runSpecsIsolated(specs, args, bench_name);
-    return runSpecs(specs, args.threads);
-}
-
 std::vector<RunRow>
 runMatrix(const std::vector<std::string> &kernels,
           const std::vector<std::string> &configs,
@@ -267,27 +149,6 @@ runMatrix(const std::vector<std::string> &kernels,
         }
     }
     return runSpecs(specs, threads);
-}
-
-std::vector<RunRow>
-runMatrix(const std::vector<std::string> &kernels,
-          const std::vector<std::string> &configs,
-          std::uint64_t iterations, const ConfigTweak &tweak,
-          const BenchArgs &args, const std::string &bench_name)
-{
-    std::vector<RunSpec> specs;
-    specs.reserve(kernels.size() * configs.size());
-    for (const auto &k : kernels) {
-        for (const auto &c : configs) {
-            RunSpec spec;
-            spec.kernel = k;
-            spec.config = c;
-            spec.iterations = iterations;
-            spec.tweak = tweak;
-            specs.push_back(std::move(spec));
-        }
-    }
-    return runSpecs(specs, args, bench_name);
 }
 
 namespace {

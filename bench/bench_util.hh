@@ -83,8 +83,6 @@ struct RunRow
 /**
  * Command-line contract shared by every bench binary:
  *   bench_xxx [iterations] [-j N] [--json <path>] [--repro-dir <dir>]
- *             [--isolate] [--journal-dir <dir>] [--resume <journal>]
- *             [--cell-timeout-ms N]
  * A bare number is the iteration count; `-j 0` (the default) means
  * all hardware threads.
  */
@@ -99,16 +97,6 @@ struct BenchArgs
      * capture).
      */
     std::string reproDir;
-    /**
-     * Supervised-campaign controls (see src/super/): run every grid
-     * cell in a sandboxed child process, journal completed cells,
-     * resume an interrupted grid. --journal-dir and --resume imply
-     * --isolate. Results are byte-identical to the in-process grid.
-     */
-    bool isolate = false;        ///< --isolate
-    std::string journalDir;      ///< --journal-dir
-    std::string resumePath;      ///< --resume <journal>
-    std::uint64_t cellTimeoutMs = 0; ///< --cell-timeout-ms
     std::chrono::steady_clock::time_point start; ///< harness start
 };
 
@@ -130,31 +118,12 @@ RunRow runOne(const RunSpec &spec);
 std::vector<RunRow> runSpecs(const std::vector<RunSpec> &specs,
                              unsigned threads = 0);
 
-/**
- * The args-aware grid entry every bench binary calls: in-process on
- * the thread pool by default, or — under --isolate — each cell in a
- * sandboxed worker process with journal/resume support, keyed by
- * `bench_name`. An interrupted supervised grid prints the partial
- * tally plus a resume hint and exits 128+signal.
- */
-std::vector<RunRow> runSpecs(const std::vector<RunSpec> &specs,
-                             const BenchArgs &args,
-                             const std::string &bench_name);
-
 /** Run the cross product of kernels x configs (kernel-major). */
 std::vector<RunRow> runMatrix(const std::vector<std::string> &kernels,
                               const std::vector<std::string> &configs,
                               std::uint64_t iterations,
                               const ConfigTweak &tweak = nullptr,
                               unsigned threads = 0);
-
-/** Args-aware runMatrix (see the runSpecs overload above). */
-std::vector<RunRow> runMatrix(const std::vector<std::string> &kernels,
-                              const std::vector<std::string> &configs,
-                              std::uint64_t iterations,
-                              const ConfigTweak &tweak,
-                              const BenchArgs &args,
-                              const std::string &bench_name);
 
 /**
  * End-of-bench bookkeeping: capture a .repro.json for every failing

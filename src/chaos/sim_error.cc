@@ -19,7 +19,6 @@ reasonName(SimError::Reason reason)
       case SimError::Reason::WorkerKilled: return "worker-killed";
       case SimError::Reason::WorkerTimeout: return "worker-timeout";
       case SimError::Reason::WorkerProtocol: return "worker-protocol";
-      case SimError::Reason::ProvenanceMismatch: return "provenance-mismatch";
     }
     return "?";
 }
@@ -34,8 +33,7 @@ reasonByName(const std::string &name)
           SimError::Reason::HostDeadline, SimError::Reason::WorkerCrash,
           SimError::Reason::WorkerKilled,
           SimError::Reason::WorkerTimeout,
-          SimError::Reason::WorkerProtocol,
-          SimError::Reason::ProvenanceMismatch}) {
+          SimError::Reason::WorkerProtocol}) {
         if (name == reasonName(r))
             return r;
     }
@@ -56,7 +54,6 @@ exitCodeFor(SimError::Reason reason)
       case SimError::Reason::WorkerKilled: return 16;
       case SimError::Reason::WorkerTimeout: return 17;
       case SimError::Reason::WorkerProtocol: return 18;
-      case SimError::Reason::ProvenanceMismatch: return 20;
     }
     return 1;
 }
@@ -66,20 +63,6 @@ isTransient(SimError::Reason reason)
 {
     return reason == SimError::Reason::HostDeadline ||
            reason == SimError::Reason::WorkerTimeout;
-}
-
-bool
-isWorkerFailure(SimError::Reason reason)
-{
-    switch (reason) {
-      case SimError::Reason::WorkerCrash:
-      case SimError::Reason::WorkerKilled:
-      case SimError::Reason::WorkerTimeout:
-      case SimError::Reason::WorkerProtocol:
-        return true;
-      default:
-        return false;
-    }
 }
 
 std::string

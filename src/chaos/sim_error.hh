@@ -39,12 +39,6 @@ struct SimError
         WorkerKilled,   ///< child SIGKILLed (OOM killer / external)
         WorkerTimeout,  ///< supervisor deadline or RLIMIT_CPU kill
         WorkerProtocol, ///< child exited without a valid result
-
-        // --- campaign-journal kind ----------------------------------
-        // Produced on `--resume --strict-provenance` when the journal
-        // was written by a different build (git revision, build type
-        // or sanitizer mix) than the one resuming it.
-        ProvenanceMismatch, ///< journal build line != running binary
     };
 
     Reason reason = Reason::None;
@@ -71,9 +65,9 @@ SimError::Reason reasonByName(const std::string &name);
  * The documented process exit status for each failure kind (see
  * docs/PROTOCOL.md, "Failure triage"): 0 for a clean run, then one
  * distinct code per SimError::Reason so scripts and CI can branch on
- * WHY a run failed without parsing stderr. Codes 19, 21 and 22 are
+ * WHY a run failed without parsing stderr. Codes 19 through 22 are
  * retired (they named failures of the removed multi-host campaign
- * fabric) and are never reused.
+ * fabric and campaign journal) and are never reused.
  */
 int exitCodeFor(SimError::Reason reason);
 
@@ -83,19 +77,9 @@ int exitCodeFor(SimError::Reason reason);
  * watchdog, invariant violation, protocol panic, livelock, a worker
  * segfault — is a deterministic property of (program, config, seed)
  * and must never be retried in-session. (A SIGKILLed worker is not
- * retried either: the supervisor quarantines it with a repro and the
- * journal marks it re-runnable, so `--resume` re-executes it.)
+ * retried either: it is reported as a failing cell.)
  */
 bool isTransient(SimError::Reason reason);
-
-/**
- * Supervised-campaign failure kinds: the worker process died (or
- * broke protocol) instead of returning a structured result. These
- * are journal records marked non-final — `--resume` selectively
- * re-executes exactly these cells, the way DSRE re-executes only the
- * mis-speculated subgraph instead of flushing the world.
- */
-bool isWorkerFailure(SimError::Reason reason);
 
 /** An invariant-checker failure: carries the invariant's name. */
 class InvariantFailure : public SimFailure

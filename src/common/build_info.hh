@@ -1,7 +1,7 @@
 /**
  * @file
- * Build provenance, stamped at configure time. Journals, repro files
- * and `edgesim --version` all carry this record so a capture replayed
+ * Build provenance, stamped at configure time. Repro files and
+ * `edgesim --version` carry this record so a capture replayed
  * on a *different* build (other git revision, build type, or
  * sanitizer mix) is detected and warned about instead of silently
  * producing a non-reproducing replay.

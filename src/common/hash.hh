@@ -1,10 +1,8 @@
 /**
  * @file
- * FNV-1a 64-bit, the one content hash the project uses everywhere a
- * stable identity is needed: program content hashes, campaign cell
- * identity, and journal record checksums. Header-only so the leaf
- * libraries (triage, super, serve) share one definition instead of
- * three hand-copied constants.
+ * FNV-1a 64-bit, the content hash behind triage::programHash: the
+ * program identity a repro file records so a replay can tell it is
+ * running the program that failed.
  */
 
 #ifndef EDGE_COMMON_HASH_HH
@@ -39,15 +37,6 @@ struct Fnv1a
         mix(&v, sizeof(v));
     }
 };
-
-/** One-shot FNV-1a of a byte string. */
-inline std::uint64_t
-fnv1a64(const std::string &s)
-{
-    Fnv1a f;
-    f.mix(s);
-    return f.state;
-}
 
 } // namespace edge
 

@@ -115,8 +115,7 @@ struct FuzzReport
     /** Failures carrying an already-seen signature. */
     std::uint64_t duplicates = 0;
     /** True when the campaign stopped early (supervised runs only):
-     *  the report covers the cells that completed, and the campaign
-     *  journal carries what is needed to `--resume`. */
+     *  the report covers the cells that completed. */
     bool interrupted = false;
 
     bool clean() const { return failures.empty() && refHangs == 0; }

@@ -61,8 +61,8 @@ struct RunResult
     /**
      * Total milliseconds the retry policy spent backing off before
      * this result was accepted (0 when no retry happened). Surfaced
-     * in per-cell JSON rows and journal records so slow hosts are
-     * visible in campaign artifacts.
+     * in per-cell bench JSON rows so slow hosts are visible in
+     * campaign artifacts.
      */
     std::uint64_t backoffMs = 0;
 

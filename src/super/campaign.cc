@@ -9,29 +9,26 @@ chaosSweepIsolated(const sim::ChaosSweepParams &params,
 {
     std::vector<sim::SweepCell> grid = sim::sweepCells(params);
 
-    const std::uint64_t phash =
-        triage::programHash(triage::buildProgram(program));
     std::vector<CellSpec> cells;
     cells.reserve(grid.size());
     for (const sim::SweepCell &gc : grid) {
         CellSpec cell;
         cell.program = program;
-        cell.programHash = phash;
         cell.config = gc.machine;
         cell.maxCycles = params.maxCycles;
         cells.push_back(std::move(cell));
     }
 
-    std::vector<CellOutcome> outs = runner.runAll(cells);
+    std::vector<std::optional<sim::RunResult>> outs =
+        runner.runAll(cells);
 
     // Assemble through the same tally code as the in-process sweep.
-    // On interruption the un-run cells are simply absent — they have
-    // no journal record either, so --resume re-runs exactly them.
+    // On interruption the un-run cells are simply absent.
     std::vector<sim::ChaosSweepOutcome> runs;
     runs.reserve(outs.size());
     bool partial = false;
     for (std::size_t i = 0; i < outs.size(); ++i) {
-        if (!outs[i].ran) {
+        if (!outs[i]) {
             partial = true;
             continue;
         }
@@ -39,8 +36,7 @@ chaosSweepIsolated(const sim::ChaosSweepParams &params,
         o.seed = grid[i].seed;
         o.config = grid[i].config;
         o.machine = grid[i].machine;
-        o.result = std::move(outs[i].result);
-        o.reproPath = std::move(outs[i].reproPath);
+        o.result = std::move(*outs[i]);
         runs.push_back(std::move(o));
     }
     if (interrupted)
@@ -62,21 +58,11 @@ fuzzBatchRunner(Supervisor &runner)
             // the same way the corpus does.
             cell.program = triage::embeddedRef("fuzz", *job.program,
                                                job.config.rngSeed);
-            cell.programHash = triage::programHash(*job.program);
             cell.config = job.config;
             cell.maxCycles = job.maxCycles;
             cells.push_back(std::move(cell));
         }
-        std::vector<CellOutcome> outs = runner.runAll(cells);
-        std::vector<std::optional<sim::RunResult>> results;
-        results.reserve(outs.size());
-        for (CellOutcome &o : outs) {
-            if (o.ran)
-                results.emplace_back(std::move(o.result));
-            else
-                results.emplace_back(std::nullopt);
-        }
-        return results;
+        return runner.runAll(cells);
     };
 }
 

@@ -22,8 +22,8 @@ namespace edge::super {
  * The process-isolated chaosSweep: same grid, same report, each cell
  * in a sandboxed worker. `program` names/carries the program for the
  * workers (a kernel ref for workload sweeps). When the campaign is
- * interrupted, the report covers only the cells that completed (the
- * journal has them all) and *interrupted is set.
+ * interrupted, the report covers only the cells that completed and
+ * *interrupted is set.
  */
 sim::ChaosSweepReport
 chaosSweepIsolated(const sim::ChaosSweepParams &params,

@@ -1,30 +1,11 @@
 #include "super/cell.hh"
 
-#include "common/hash.hh"
 #include "triage/program_json.hh"
 #include "triage/result_json.hh"
 
 namespace edge::super {
 
 using triage::JsonValue;
-
-std::uint64_t
-cellHash(const CellSpec &cell)
-{
-    std::uint64_t phash = cell.programHash;
-    if (phash == 0)
-        phash = triage::programHash(triage::buildProgram(cell.program));
-
-    // FNV-1a over (program hash, canonical config JSON, budget). The
-    // config is hashed through its serialized form so every field —
-    // including the run seed and the chaos schedule parameters —
-    // participates without a hand-maintained field list.
-    Fnv1a f;
-    f.mix64(phash);
-    f.mix(triage::configToJson(cell.config).dumpCompact());
-    f.mix64(cell.maxCycles);
-    return f.state;
-}
 
 JsonValue
 cellToJson(const CellSpec &cell)

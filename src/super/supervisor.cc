@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,7 +10,6 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <thread>
 
 #include "common/logging.hh"
@@ -104,29 +102,12 @@ Supervisor::Supervisor(SupervisorOptions opts) : _opts(std::move(opts))
         unsigned hw = std::thread::hardware_concurrency();
         _opts.jobs = hw ? hw : 1;
     }
-    std::string err;
-    if (!_opts.journalPath.empty() &&
-        !_journal.open(_opts.journalPath, &err)) {
-        fatal_if(_opts.resume, "--resume: %s", err.c_str());
-        warn("supervisor: %s — continuing without a journal",
-             err.c_str());
-    }
 }
 
 bool
 Supervisor::stopRequested() const
 {
     return _stop.load(std::memory_order_relaxed) || stopSignal() != 0;
-}
-
-std::string
-Supervisor::resumeHint() const
-{
-    if (!_journal.isOpen())
-        return "";
-    return strfmt("add --resume %s to the same command line to "
-                  "continue this campaign",
-                  _journal.path().c_str());
 }
 
 bool
@@ -153,29 +134,15 @@ Supervisor::spawn(Child &c, const CellSpec &cell)
 
     if (pid == 0) {
         // Child. Wire stdin/stdout to the protocol pipes (stderr is
-        // inherited: worker diagnostics land in the campaign log),
-        // fence the sandbox, and become the worker.
+        // inherited: worker diagnostics land in the campaign log)
+        // and become the worker.
         ::dup2(inPipe[0], STDIN_FILENO);
         ::dup2(outPipe[1], STDOUT_FILENO);
         ::close(inPipe[0]);
         ::close(inPipe[1]);
         ::close(outPipe[0]);
         ::close(outPipe[1]);
-        if (_opts.rlimitAsMb != 0) {
-            struct rlimit rl;
-            rl.rlim_cur = rl.rlim_max =
-                _opts.rlimitAsMb * 1024ULL * 1024ULL;
-            ::setrlimit(RLIMIT_AS, &rl);
-        }
-        if (_opts.rlimitCpuSec != 0) {
-            struct rlimit rl;
-            rl.rlim_cur = rl.rlim_max = _opts.rlimitCpuSec;
-            ::setrlimit(RLIMIT_CPU, &rl);
-        }
-        const char *path = _opts.workerPath.empty()
-                               ? "/proc/self/exe"
-                               : _opts.workerPath.c_str();
-        ::execl(path, path, "--worker-cell",
+        ::execl("/proc/self/exe", "/proc/self/exe", "--worker-cell",
                 static_cast<char *>(nullptr));
         ::_exit(127);
     }
@@ -233,7 +200,7 @@ classifyExit(const CellSpec &cell, int status, bool timed_out,
                 strfmt("worker SIGKILLed by supervisor after the "
                        "%llu ms cell deadline",
                        static_cast<unsigned long long>(timeout_ms)));
-        if (sig == SIGXCPU)
+        if (sig == SIGXCPU) // an inherited `ulimit -t`
             return deathResult(cell, Reason::WorkerTimeout,
                                "worker exceeded RLIMIT_CPU");
         if (sig == SIGKILL)
@@ -270,67 +237,19 @@ classifyExit(const CellSpec &cell, int status, bool timed_out,
 } // namespace
 
 void
-Supervisor::finalize(std::size_t index, const CellSpec &cell,
-                     sim::RunResult result,
-                     std::vector<CellOutcome> &out)
+Supervisor::finalize(std::optional<sim::RunResult> &out,
+                     sim::RunResult result)
 {
-    CellOutcome &o = out[index];
-    o.ran = true;
-    o.fromJournal = false;
-
-    const chaos::SimError::Reason reason = result.error.reason;
-    const bool worker_death = chaos::isWorkerFailure(reason);
-    if (worker_death && !_opts.reproDir.empty()) {
-        triage::ReproSpec spec = triage::captureFromResult(
-            cell.program, cell.config, cell.maxCycles, result);
-        o.reproPath = triage::captureToFile(spec, _opts.reproDir);
-    }
-    o.result = std::move(result);
-
     ++_completed;
-    if (!(o.result.error.ok() && o.result.halted && o.result.archMatch))
+    if (!(result.error.ok() && result.halted && result.archMatch))
         ++_failures;
-
-    if (_journal.isOpen()) {
-        JournalRecord rec;
-        rec.cell = cellHash(cell);
-        // Worker deaths and transient host failures describe how the
-        // attempt ended, not what the cell computes — non-final, so
-        // --resume selectively re-executes exactly these cells.
-        rec.final = !worker_death && !chaos::isTransient(reason);
-        rec.result = o.result;
-        rec.reproPath = o.reproPath;
-        std::string err;
-        if (_journal.append(rec, &err))
-            _unsynced = true;
-        else
-            warn("supervisor: journal append failed: %s", err.c_str());
-    }
+    out = std::move(result);
 }
 
-void
-Supervisor::syncJournal()
-{
-    if (!_unsynced)
-        return;
-    _unsynced = false;
-    std::string err;
-    if (!_journal.flush(&err))
-        warn("supervisor: %s — unsynced results will re-run on "
-             "--resume",
-             err.c_str());
-}
-
-std::vector<CellOutcome>
+std::vector<std::optional<sim::RunResult>>
 Supervisor::runAll(const std::vector<CellSpec> &cells)
 {
-    // Resume index: last journal record per cell hash wins, and only
-    // final records short-circuit execution.
-    std::map<std::uint64_t, const JournalRecord *> replayable;
-    if (_opts.resume && _journal.isOpen())
-        replayable = Journal::resumeIndex(_journal.loaded());
-
-    std::vector<CellOutcome> out(cells.size());
+    std::vector<std::optional<sim::RunResult>> out(cells.size());
 
     struct Pending
     {
@@ -342,33 +261,16 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
     std::deque<Pending> pending;
 
     const Clock::time_point now0 = Clock::now();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!replayable.empty()) {
-            auto it = replayable.find(cellHash(cells[i]));
-            if (it != replayable.end()) {
-                out[i].ran = true;
-                out[i].fromJournal = true;
-                out[i].result = it->second->result;
-                out[i].reproPath = it->second->reproPath;
-                ++_skipped;
-                if (!(out[i].result.error.ok() &&
-                      out[i].result.halted && out[i].result.archMatch))
-                    ++_failures;
-                continue;
-            }
-        }
+    for (std::size_t i = 0; i < cells.size(); ++i)
         pending.push_back({i, 1, 0, now0});
-    }
 
     std::vector<Child> active;
     active.reserve(_opts.jobs);
 
     while (!pending.empty() || !active.empty()) {
         if (stopRequested()) {
-            // Kill and reap everything in flight. Their cells have no
-            // journal record, so a resume re-runs them — an
-            // interrupted campaign loses at most in-flight work,
-            // never completed work.
+            // Kill and reap everything in flight; their cells stay
+            // nullopt, so the caller reports only completed work.
             for (Child &c : active) {
                 ::kill(c.pid, SIGKILL);
                 int st = 0;
@@ -394,24 +296,17 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
             c.attempt = it->attempt;
             c.backoffAccum = it->backoffAccum;
             if (!spawn(c, cells[it->index])) {
-                finalize(it->index, cells[it->index],
+                finalize(out[it->index],
                          deathResult(cells[it->index],
                                      chaos::SimError::Reason::
                                          WorkerProtocol,
                                      strfmt("fork/pipe failed: %s",
-                                            std::strerror(errno))),
-                         out);
+                                            std::strerror(errno))));
             } else {
                 active.push_back(std::move(c));
             }
             it = pending.erase(it);
         }
-
-        // One sync per wake covers every record the previous wake
-        // reaped; issued once the freed slots are refilled, it
-        // overlaps the new workers' start-up. A crash before it loses
-        // at most those records, and --resume re-executes their cells.
-        syncJournal();
 
         // Poll every live pipe; wake early for the nearest deadline
         // or backoff expiry, and at least every 100 ms for the stop
@@ -537,13 +432,12 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
             } else {
                 r.retries = it->attempt - 1;
                 r.backoffMs = it->backoffAccum;
-                finalize(it->index, cell, std::move(r), out);
+                finalize(out[it->index], std::move(r));
             }
             it = active.erase(it);
         }
     }
 
-    syncJournal();
     return out;
 }
 

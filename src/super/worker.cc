@@ -1,5 +1,7 @@
 #include "super/worker.hh"
 
+#include <sys/prctl.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -35,6 +37,9 @@ maybeTestCrash(const std::string &mode, std::ostream &out)
     } else if (mode == "kill") {
         std::raise(SIGKILL);
     } else if (mode == "hang") {
+        // Die with the test process: a broken stop path must fail its
+        // test, not leave sleepers holding the test's output pipe.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
         for (;;)
             std::this_thread::sleep_for(std::chrono::seconds(1));
     } else if (mode == "exit3") {

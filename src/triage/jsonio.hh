@@ -84,9 +84,10 @@ class JsonValue
     std::string dump() const;
 
     /**
-     * Serialize on a single line, no whitespace — the JSONL form the
-     * campaign journal appends one record per line in. Escaping
-     * guarantees the output itself contains no newline.
+     * Serialize on a single line, no whitespace — the form the
+     * supervised-campaign worker protocol sends down and up its
+     * pipes. Escaping guarantees the output itself contains no
+     * newline.
      */
     std::string dumpCompact() const;
 

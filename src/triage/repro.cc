@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/build_info.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "lsq/lsq.hh"
 #include "predictor/dependence.hh"
@@ -15,25 +16,6 @@
 namespace edge::triage {
 
 namespace {
-
-/** FNV-1a 64-bit, the classic offset basis / prime. */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    bytes(const void *data, std::size_t n)
-    {
-        const auto *p = static_cast<const std::uint8_t *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ULL;
-        }
-    }
-
-    void str(const std::string &s) { bytes(s.data(), s.size()); }
-    void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-};
 
 /** Filename-safe slug: [a-z0-9-] only. */
 std::string
@@ -57,16 +39,16 @@ slug(const std::string &s)
 std::uint64_t
 programHash(const isa::Program &program)
 {
-    Fnv f;
-    f.str(program.name());
-    f.str(program.disassemble());
+    Fnv1a f;
+    f.mix(program.name());
+    f.mix(program.disassemble());
     for (Word w : program.initRegs())
-        f.u64(w);
+        f.mix64(w);
     for (const isa::MemInit &chunk : program.memImage()) {
-        f.u64(chunk.base);
-        f.bytes(chunk.bytes.data(), chunk.bytes.size());
+        f.mix64(chunk.base);
+        f.mix(chunk.bytes.data(), chunk.bytes.size());
     }
-    return f.h;
+    return f.state;
 }
 
 ProgramRef

@@ -2,10 +2,9 @@
  * @file
  * JSON serialization of the simulator's run-facing structs —
  * MachineConfig, SimError, and the complete RunResult. Shared by
- * `.repro.json` capture (triage/repro), the supervised-campaign
+ * `.repro.json` capture (triage/repro) and the supervised-campaign
  * worker protocol (a child process returns its RunResult over a pipe
- * as one JSON document), and the campaign journal (every completed
- * cell's result is a JSONL record).
+ * as one JSON document).
  *
  * The RunResult round-trip is *lossless*: every counter, histogram
  * bucket, chaos event and metric reconstructs bit-identically, so a

@@ -156,8 +156,8 @@ TEST(Claims, DsreNeverFlushesOnAViolation)
             << row.at("kernel") << " " << row.at("chaos") << " at "
             << row.at("frames") << " frames";
     }
-    EXPECT_EQ(seen, 14u * 7u);
-    EXPECT_EQ(chaos, 14u * 4u);
+    EXPECT_EQ(seen, 14u * 9u);
+    EXPECT_EQ(chaos, 14u * 6u);
 }
 
 } // namespace

@@ -2,14 +2,14 @@
  * @file
  * Pinned timing: every kernel x mechanism x {1, 8, 16} frames at 40
  * iterations, plus every kernel under DSRE and blind+flush at 16
- * frames with the `net` and `heavy` chaos profiles (seeds 1 and 2),
- * must reproduce the checked-in table (timing_golden.tsv) exactly —
- * cycles, committed instructions and blocks, and the LSQ / flush
- * counters that carry the paper's science. Architectural correctness
- * alone cannot catch a "performance" change that silently moves
- * Figure 5; this table can. The chaos rows pin the operand mesh's
- * delivery order: duplicates and hop jitter reorder arrivals, so any
- * change to that order moves their cycles.
+ * frames with the `net`, `heavy` and `light` chaos profiles (seeds 1
+ * and 2), must reproduce the checked-in table (timing_golden.tsv)
+ * exactly — cycles, committed instructions and blocks, and the LSQ /
+ * flush counters that carry the paper's science. Architectural
+ * correctness alone cannot catch a "performance" change that silently
+ * moves Figure 5; this table can. The chaos rows pin the operand
+ * mesh's delivery order: duplicates and hop jitter reorder arrivals,
+ * so any change to that order moves their cycles.
  *
  * A change that means to move timing regenerates the table and says
  * in its change log which cells moved and why:
@@ -46,7 +46,7 @@ const std::vector<unsigned> kFrames = {1, 8, 16};
 
 /** Chaos rows: these mechanisms x profiles x seeds at kChaosFrames. */
 const std::vector<std::string> kChaosConfigs = {"dsre", "blind-flush"};
-const std::vector<std::string> kChaosProfiles = {"net", "heavy"};
+const std::vector<std::string> kChaosProfiles = {"net", "heavy", "light"};
 const std::vector<std::uint64_t> kChaosSeeds = {1, 2};
 constexpr unsigned kChaosFrames = 16;
 const std::vector<std::string> kCounters = {

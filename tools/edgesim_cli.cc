@@ -28,8 +28,7 @@
  *   14  host wall-clock deadline
  *   15  worker crash             16  worker killed
  *   17  worker timeout           18  worker protocol
- *   19  retired                  20  journal provenance mismatch
- *   21  retired                  22  retired
+ *   19-22  retired; never reused
  *   128+N  supervised campaign interrupted by signal N
  */
 
@@ -73,6 +72,7 @@ usage()
         "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
         "       edgesim --fuzz N [--fuzz-seed S] [--fuzz-chaos <name>]\n"
         "               [--corpus-dir <dir>] [--minimize] [-j N]\n"
+        "               [--isolate [--cell-timeout-ms N]]\n"
         "\n"
         "  --fuzz N  differential fuzzing: N random hyperblock\n"
         "         programs, each run under every mechanism and\n"
@@ -89,17 +89,10 @@ usage()
         "         bit-identical to -j 1)\n"
         "\n"
         "supervised campaigns (sweeps and fuzzing):\n"
-        "  --isolate  run every grid cell in a sandboxed child\n"
-        "         process; a segfaulting/OOM-killed/hung cell becomes\n"
-        "         a structured failure row, never a dead campaign\n"
-        "  --journal-dir <dir>  append-only JSONL journal of\n"
-        "         completed cells (implies --isolate)\n"
-        "  --resume <journal>  skip cells the journal marks final,\n"
-        "         re-execute the rest, merge (implies --isolate)\n"
-        "  --strict-provenance  refuse to resume a journal written\n"
-        "         by a different build (exit 20) instead of warning\n"
+        "  --isolate  run every grid cell in its own child process;\n"
+        "         a segfaulting/OOM-killed/hung cell becomes a\n"
+        "         structured failure row, never a dead campaign\n"
         "  --cell-timeout-ms N  SIGKILL a cell past this deadline\n"
-        "  --rlimit-as-mb N / --rlimit-cpu-sec N  child sandbox caps\n"
         "\n"
         "  --version  print the build provenance line\n"
         "  --capture-repro <dir>  write a .repro.json for every\n"
@@ -112,9 +105,8 @@ usage()
         "exit codes: 0 ok, 1 usage/config, 2 divergence, 3 sweep\n"
         "  failures, 4 replay mismatch, 10 watchdog, 11 invariant\n"
         "  violation, 12 protocol panic, 13 livelock, 14 host\n"
-        "  deadline, 15-18 worker crash/kill/timeout/protocol,\n"
-        "  20 provenance mismatch (19, 21, 22 retired), 128+N\n"
-        "  interrupted by signal N\n"
+        "  deadline, 15-18 worker crash/kill/timeout/protocol\n"
+        "  (19-22 retired), 128+N interrupted by signal N\n"
         "\n"
         "configs: ");
     for (const auto &c : sim::Configs::allNames())
@@ -256,20 +248,15 @@ replayMain(const std::string &path, bool minimize, unsigned threads)
     return match ? 0 : 4;
 }
 
-/** Partial-campaign banner + resume hint, shared by the interrupted
- *  sweep and fuzz paths. Returns the 128+signal exit status. */
+/** Partial-campaign banner, shared by the interrupted sweep and
+ *  fuzz paths. Returns the 128+signal exit status. */
 int
 interruptedExit(const super::Supervisor &sup)
 {
     int sig = super::stopSignal() ? super::stopSignal() : SIGINT;
-    std::printf("campaign interrupted (%s): %zu cell(s) journaled "
-                "this session, %zu replayed from the journal, %zu "
-                "failure(s)\n",
-                strsignal(sig), sup.completed(), sup.skipped(),
-                sup.failures());
-    std::string hint = sup.resumeHint();
-    if (!hint.empty())
-        std::printf("  %s\n", hint.c_str());
+    std::printf("campaign interrupted (%s): %zu cell(s) completed, "
+                "%zu failure(s)\n",
+                strsignal(sig), sup.completed(), sup.failures());
     return 128 + sig;
 }
 
@@ -366,12 +353,7 @@ main(int argc, char **argv)
     std::uint64_t fuzz_seed = 1;
     std::string corpus_dir;
     bool isolate = false;
-    std::string journal_dir;
-    std::string resume_path;
     std::uint64_t cell_timeout_ms = 0;
-    std::uint64_t rlimit_as_mb = 0;
-    std::uint64_t rlimit_cpu_sec = 0;
-    bool strict_provenance = false;
     std::vector<std::pair<std::string, std::uint64_t>> overrides;
 
     for (int i = 1; i < argc; ++i) {
@@ -438,20 +420,8 @@ main(int argc, char **argv)
             repro_dir = next();
         } else if (arg == "--isolate") {
             isolate = true;
-        } else if (arg == "--journal-dir") {
-            journal_dir = next();
-            isolate = true;
-        } else if (arg == "--resume") {
-            resume_path = next();
-            isolate = true;
         } else if (arg == "--cell-timeout-ms") {
             cell_timeout_ms = nextU64();
-        } else if (arg == "--rlimit-as-mb") {
-            rlimit_as_mb = nextU64();
-        } else if (arg == "--rlimit-cpu-sec") {
-            rlimit_cpu_sec = nextU64();
-        } else if (arg == "--strict-provenance") {
-            strict_provenance = true;
         } else if (arg == "--version") {
             std::printf("edgesim %s\n", buildInfoLine().c_str());
             return 0;
@@ -487,37 +457,10 @@ main(int argc, char **argv)
     if (!replay_path.empty())
         return replayMain(replay_path, minimize, threads);
 
-    // --strict-provenance turns the resume build-mismatch warning
-    // into a refusal, before any cell runs.
-    if (strict_provenance && !resume_path.empty()) {
-        std::string desc;
-        if (super::Journal::provenanceMismatch(resume_path, &desc)) {
-            std::fprintf(
-                stderr,
-                "edgesim: journal %s: %s; refusing to resume "
-                "under --strict-provenance\n",
-                resume_path.c_str(), desc.c_str());
-            return chaos::exitCodeFor(
-                chaos::SimError::Reason::ProvenanceMismatch);
-        }
-    }
-
     // Shared supervisor setup for the --isolate campaign paths.
-    auto supervisorOptions =
-        [&](const std::string &campaign) -> super::SupervisorOptions {
-        super::SupervisorOptions so;
-        so.jobs = threads;
-        so.cellTimeoutMs = cell_timeout_ms;
-        so.rlimitAsMb = rlimit_as_mb;
-        so.rlimitCpuSec = rlimit_cpu_sec;
-        if (!resume_path.empty())
-            so.journalPath = resume_path;
-        else if (!journal_dir.empty())
-            so.journalPath =
-                journal_dir + "/" + campaign + ".journal";
-        so.resume = !resume_path.empty();
-        return so;
-    };
+    super::SupervisorOptions so;
+    so.jobs = threads;
+    so.cellTimeoutMs = cell_timeout_ms;
 
     if (fuzz_count > 0) {
         fuzz::FuzzOptions fo;
@@ -531,10 +474,7 @@ main(int argc, char **argv)
         fo.corpusDir = corpus_dir;
         if (isolate) {
             super::installStopHandlers();
-            super::Supervisor sup(supervisorOptions(strfmt(
-                "fuzz-seed%llu-n%llu",
-                static_cast<unsigned long long>(fuzz_seed),
-                static_cast<unsigned long long>(fuzz_count))));
+            super::Supervisor sup(so);
             fo.batchRunner = super::fuzzBatchRunner(sup);
             return fuzzMain(fo, minimize, threads, &sup);
         }
@@ -579,9 +519,7 @@ main(int argc, char **argv)
         sp.mutationNode = mutation_node;
         if (isolate) {
             super::installStopHandlers();
-            super::Supervisor sup(supervisorOptions(
-                strfmt("sweep-%s-%s", kernel.c_str(),
-                       config.c_str())));
+            super::Supervisor sup(so);
             bool interrupted = false;
             sim::ChaosSweepReport rep = super::chaosSweepIsolated(
                 sp, prog_ref, sup, &interrupted);
