@@ -156,8 +156,7 @@ namespace {
 void
 writeJson(const std::string &path, const std::string &bench_name,
           const BenchArgs &args, const std::vector<RunRow> &rows,
-          double wall_seconds, std::size_t quarantined,
-          std::size_t fatal_cells)
+          double wall_seconds, std::size_t failed)
 {
     using triage::JsonValue;
     const HostInfo &h = hostInfo();
@@ -186,8 +185,6 @@ writeJson(const std::string &path, const std::string &bench_name,
         c.set("flushes", JsonValue::u64(r.ctrlFlushes + r.violFlushes));
         c.set("error", JsonValue::str(r.error.ok() ? ""
                                                    : r.error.format()));
-        c.set("retries", JsonValue::u64(r.retries));
-        c.set("backoff_ms", JsonValue::u64(r.backoffMs));
         c.set("repro", JsonValue::str(row.reproPath));
         cells.push(std::move(c));
     }
@@ -201,8 +198,7 @@ writeJson(const std::string &path, const std::string &bench_name,
     doc.set("host", std::move(host));
     doc.set("wall_seconds", JsonValue::number(wall_seconds));
     doc.set("cells", std::move(cells));
-    doc.set("quarantined", JsonValue::u64(quarantined));
-    doc.set("fatal", JsonValue::u64(fatal_cells));
+    doc.set("failed", JsonValue::u64(failed));
     // Pretty dump(): readers scan for `"insts": N` with the space.
     std::ofstream out(path);
     if (!(out << doc.dump()))
@@ -236,35 +232,24 @@ finishBench(const std::string &bench_name, const BenchArgs &args,
             row.reproPath = triage::captureToFile(spec, args.reproDir);
         }
     }
-    std::size_t quarantined = 0, fatal_cells = 0;
+    std::size_t failed = 0;
     for (const RunRow &row : rows) {
         if (row.ok())
             continue;
-        if (quarantined + fatal_cells == 0)
+        if (failed++ == 0)
             std::fprintf(stderr, "\nFAILED cells:\n");
-        quarantined += row.quarantined() ? 1 : 0;
-        fatal_cells += row.fatalTransient() ? 1 : 0;
         std::fprintf(stderr, "  %s\n", row.failure().c_str());
-        if (row.result.retries != 0)
-            std::fprintf(stderr, "    retries=%u backoff_ms=%llu\n",
-                         row.result.retries,
-                         static_cast<unsigned long long>(
-                             row.result.backoffMs));
         if (!row.reproPath.empty())
             std::fprintf(stderr,
                          "    to reproduce: edgesim --replay %s\n",
                          row.reproPath.c_str());
     }
     if (!args.jsonPath.empty())
-        writeJson(args.jsonPath, bench_name, args, rows, wall,
-                  quarantined, fatal_cells);
-    if (quarantined + fatal_cells)
-        std::fprintf(stderr,
-                     "%zu/%zu cells failed (%zu quarantined "
-                     "deterministic, %zu fatal after retries)\n",
-                     quarantined + fatal_cells, rows.size(),
-                     quarantined, fatal_cells);
-    return quarantined + fatal_cells ? 1 : 0;
+        writeJson(args.jsonPath, bench_name, args, rows, wall, failed);
+    if (failed)
+        std::fprintf(stderr, "%zu/%zu cells failed\n", failed,
+                     rows.size());
+    return failed ? 1 : 0;
 }
 
 double

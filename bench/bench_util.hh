@@ -56,26 +56,6 @@ struct RunRow
         return result.halted && result.archMatch && result.error.ok();
     }
 
-    /**
-     * A failing cell is either QUARANTINED — a deterministic failure
-     * (invariant violation, watchdog, livelock, panic, divergence)
-     * that replays from its repro file and must be triaged, not
-     * retried — or FATAL: a host-level transient (wall-clock
-     * deadline) that still failed after every retry the policy
-     * allowed, i.e. the host could not complete the cell at all.
-     */
-    bool
-    quarantined() const
-    {
-        return !ok() && !chaos::isTransient(result.error.reason);
-    }
-
-    bool
-    fatalTransient() const
-    {
-        return !ok() && chaos::isTransient(result.error.reason);
-    }
-
     /** One-line description of a failing cell ("" when ok()). */
     std::string failure() const;
 };
@@ -129,11 +109,10 @@ std::vector<RunRow> runMatrix(const std::vector<std::string> &kernels,
  * End-of-bench bookkeeping: capture a .repro.json for every failing
  * cell (when args.reproDir is set, filling each row's reproPath),
  * print every failing cell with its "to reproduce: edgesim --replay
- * ..." line, summarize quarantined (deterministic) vs fatal
- * (transient-exhausted) failures separately, write the `--json`
- * metrics file (per-cell metrics + repro path + retry count +
- * harness wall-clock) when requested, and return the process exit
- * code (0 iff no failures).
+ * ..." line, tally the failed cells, write the `--json` metrics file
+ * (per-cell metrics + repro path + harness wall-clock + the `failed`
+ * count) when requested, and return the process exit code (0 iff no
+ * failures).
  */
 int finishBench(const std::string &bench_name, const BenchArgs &args,
                 std::vector<RunRow> &rows);

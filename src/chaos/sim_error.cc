@@ -14,7 +14,6 @@ reasonName(SimError::Reason reason)
       case SimError::Reason::InvariantViolation: return "invariant-violation";
       case SimError::Reason::ProtocolPanic: return "protocol-panic";
       case SimError::Reason::Livelock: return "livelock";
-      case SimError::Reason::HostDeadline: return "host-deadline";
       case SimError::Reason::WorkerCrash: return "worker-crash";
       case SimError::Reason::WorkerKilled: return "worker-killed";
       case SimError::Reason::WorkerTimeout: return "worker-timeout";
@@ -30,8 +29,7 @@ reasonByName(const std::string &name)
          {SimError::Reason::None, SimError::Reason::Watchdog,
           SimError::Reason::InvariantViolation,
           SimError::Reason::ProtocolPanic, SimError::Reason::Livelock,
-          SimError::Reason::HostDeadline, SimError::Reason::WorkerCrash,
-          SimError::Reason::WorkerKilled,
+          SimError::Reason::WorkerCrash, SimError::Reason::WorkerKilled,
           SimError::Reason::WorkerTimeout,
           SimError::Reason::WorkerProtocol}) {
         if (name == reasonName(r))
@@ -49,20 +47,12 @@ exitCodeFor(SimError::Reason reason)
       case SimError::Reason::InvariantViolation: return 11;
       case SimError::Reason::ProtocolPanic: return 12;
       case SimError::Reason::Livelock: return 13;
-      case SimError::Reason::HostDeadline: return 14;
       case SimError::Reason::WorkerCrash: return 15;
       case SimError::Reason::WorkerKilled: return 16;
       case SimError::Reason::WorkerTimeout: return 17;
       case SimError::Reason::WorkerProtocol: return 18;
     }
     return 1;
-}
-
-bool
-isTransient(SimError::Reason reason)
-{
-    return reason == SimError::Reason::HostDeadline ||
-           reason == SimError::Reason::WorkerTimeout;
 }
 
 std::string

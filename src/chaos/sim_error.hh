@@ -30,7 +30,6 @@ struct SimError
         InvariantViolation, ///< the runtime invariant checker fired
         ProtocolPanic,      ///< a panic() in the timing machinery
         Livelock,           ///< activity repeats with no commit
-        HostDeadline,       ///< per-run wall-clock deadline exceeded
 
         // --- supervised-campaign (process isolation) kinds ---------
         // Produced by the campaign supervisor (src/super/) when an
@@ -65,21 +64,12 @@ SimError::Reason reasonByName(const std::string &name);
  * The documented process exit status for each failure kind (see
  * docs/PROTOCOL.md, "Failure triage"): 0 for a clean run, then one
  * distinct code per SimError::Reason so scripts and CI can branch on
- * WHY a run failed without parsing stderr. Codes 19 through 22 are
- * retired (they named failures of the removed multi-host campaign
- * fabric and campaign journal) and are never reused.
+ * WHY a run failed without parsing stderr. Code 14 (a per-run host
+ * wall-clock deadline) and codes 19 through 22 (failures of the removed
+ * multi-host campaign fabric and campaign journal) are retired and are
+ * never reused.
  */
 int exitCodeFor(SimError::Reason reason);
-
-/**
- * Host-level failures (wall-clock deadline, supervised-cell timeout)
- * are transient: the same cell may pass on a retry. Everything else —
- * watchdog, invariant violation, protocol panic, livelock, a worker
- * segfault — is a deterministic property of (program, config, seed)
- * and must never be retried in-session. (A SIGKILLed worker is not
- * retried either: it is reported as a failing cell.)
- */
-bool isTransient(SimError::Reason reason);
 
 /** An invariant-checker failure: carries the invariant's name. */
 class InvariantFailure : public SimFailure

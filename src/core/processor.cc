@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
@@ -734,33 +733,6 @@ Processor::activityDigest(bool *active)
     return digest;
 }
 
-bool
-Processor::wallDeadlineHit(Result &res)
-{
-    if (_cfg.wallDeadlineMs == 0)
-        return false;
-    // The clock read is amortised over 4096 *loop iterations*, not a
-    // cycle-number mask: the event engine skips cycle numbers, so a
-    // `(_cycle & 0xfff) == 0` gate could be stepped over forever.
-    if ((_wallPoll++ & 0xfff) != 0)
-        return false;
-    auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::steady_clock::now() - _wallStart)
-                       .count();
-    if (static_cast<std::uint64_t>(elapsed) < _cfg.wallDeadlineMs)
-        return false;
-    res.error.reason = chaos::SimError::Reason::HostDeadline;
-    res.error.message = strfmt(
-        "host wall-clock deadline of %llu ms exceeded after %lld ms "
-        "at cycle %llu",
-        static_cast<unsigned long long>(_cfg.wallDeadlineMs),
-        static_cast<long long>(elapsed),
-        static_cast<unsigned long long>(_cycle));
-    res.error.cycle = _cycle;
-    res.error.trace = _trace.snapshot();
-    return true;
-}
-
 void
 Processor::runTick(Cycle max_cycles, Result &res)
 {
@@ -787,8 +759,6 @@ Processor::runTick(Cycle max_cycles, Result &res)
                 break;
             }
         }
-        if (wallDeadlineHit(res))
-            break;
         ++_cycle;
     }
 }
@@ -860,8 +830,6 @@ Processor::runEvent(Cycle max_cycles, Result &res)
             // visits them.
             sched.wakeAt(_cycle + _livelock.interval());
         }
-        if (wallDeadlineHit(res))
-            break;
 
         Cycle next = _cycle + 1;
         if (!active) {
@@ -878,12 +846,9 @@ Processor::Result
 Processor::run(Cycle max_cycles)
 {
     Result res;
-    _wallStart = std::chrono::steady_clock::now();
-    _wallPoll = 0;
-    // Graceful degradation: a watchdog timeout, a livelock, a missed
-    // wall-clock deadline, a protocol panic or an invariant-checker
-    // failure stops the run and surfaces as a structured report
-    // instead of aborting the process.
+    // Graceful degradation: a watchdog timeout, a livelock, a protocol
+    // panic or an invariant-checker failure stops the run and surfaces
+    // as a structured report instead of aborting the process.
     try {
         if (_cfg.engine == EngineKind::Tick)
             runTick(max_cycles, res);

@@ -12,7 +12,6 @@
 #define EDGE_CORE_PROCESSOR_HH
 
 #include <array>
-#include <chrono>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -101,13 +100,6 @@ struct MachineConfig
     bool checkInvariants = false;
     /** Events retained in the failure-report trace ring. */
     std::size_t traceDepth = 64;
-    /**
-     * Per-run wall-clock deadline in milliseconds (0 disables). A
-     * host-level guard, not a property of the simulated machine:
-     * exceeding it stops the run with SimError::Reason::HostDeadline,
-     * the one failure kind the grid retry policy treats as transient.
-     */
-    std::uint64_t wallDeadlineMs = 0;
     /** Cycle-loop implementation (observably identical either way). */
     EngineKind engine = EngineKind::Event;
 };
@@ -251,14 +243,6 @@ class Processor
     /** Drop the block's _ctxBySeq entry; call before it leaves _inflight. */
     void retireCtx(const BlockCtx &ctx);
 
-    /**
-     * Host wall-clock deadline poll, engine-independent: counts
-     * iterations (not simulated cycles, which the event engine can
-     * skip) and reads the clock every 4096 polls. Fills `res.error`
-     * and returns true when the deadline has passed.
-     */
-    bool wallDeadlineHit(Result &res);
-
     /** Render the stuck-machine state (watchdog/livelock reports). */
     std::string machineDump(Cycle now);
 
@@ -329,9 +313,6 @@ class Processor
     bool _halted = false;
     Cycle _cycle = 0;
     Cycle _lastCommit = 0;
-    /** Wall-deadline poll state (see wallDeadlineHit). */
-    std::chrono::steady_clock::time_point _wallStart{};
-    unsigned _wallPoll = 0;
     chaos::LivelockDetector _livelock;
     /** Counter snapshot backing the livelock activity deltas. */
     std::uint64_t _llPrev[4] = {0, 0, 0, 0};

@@ -46,7 +46,6 @@ classify(const sim::RunResult &result)
         return Outcome::Hang;
       case Reason::InvariantViolation:
       case Reason::ProtocolPanic:
-      case Reason::HostDeadline:
         return Outcome::Crash;
       case Reason::WorkerCrash:
       case Reason::WorkerKilled:

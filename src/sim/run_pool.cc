@@ -1,10 +1,7 @@
 #include "sim/run_pool.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -16,61 +13,8 @@ RunPool::RunPool(unsigned threads)
 {
 }
 
-namespace {
-
-/**
- * Sleep for `ms`, polling `cancel` in short slices so a shutdown
- * request never waits behind a long backoff. Returns the
- * milliseconds actually slept.
- */
-std::uint64_t
-interruptibleSleep(std::uint64_t ms, const std::atomic<bool> *cancel)
-{
-    constexpr std::uint64_t kSliceMs = 5;
-    std::uint64_t slept = 0;
-    while (slept < ms) {
-        if (cancel && cancel->load(std::memory_order_relaxed))
-            break;
-        std::uint64_t slice = std::min(kSliceMs, ms - slept);
-        std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-        slept += slice;
-    }
-    return slept;
-}
-
-} // namespace
-
-RunResult
-RunPool::runWithRetry(const std::function<RunResult()> &once,
-                      const RetryPolicy &retry) const
-{
-    unsigned attempt = 1;
-    std::uint64_t backoff_ms = retry.backoffMs;
-    std::uint64_t total_backoff = 0;
-    for (;;) {
-        RunResult r = once();
-        r.retries = attempt - 1;
-        r.backoffMs = total_backoff;
-        if (!retry.shouldRetry(r, attempt))
-            return r;
-        // Transient host-level failure: back off and rerun. The run
-        // itself is deterministic, so only host conditions (load,
-        // wall-clock pressure) can change the outcome. The backoff
-        // budget is capped per cell and the sleep is cancellable.
-        std::uint64_t budget =
-            retry.maxTotalBackoffMs > total_backoff
-                ? retry.maxTotalBackoffMs - total_backoff
-                : 0;
-        total_backoff += interruptibleSleep(
-            std::min<std::uint64_t>(backoff_ms, budget), retry.cancel);
-        backoff_ms *= 2;
-        ++attempt;
-    }
-}
-
 std::vector<RunResult>
-RunPool::runAll(const std::vector<RunJob> &jobs,
-                const RetryPolicy &retry)
+RunPool::runAll(const std::vector<RunJob> &jobs)
 {
     if (jobs.empty())
         return {};
@@ -106,25 +50,21 @@ RunPool::runAll(const std::vector<RunJob> &jobs,
     return parallelIndex(pool, jobs.size(), [&](std::size_t i) {
         const RunJob &job = jobs[i];
         const Simulator *sim = sims.at(job.program).get();
-        return runWithRetry(
-            [&] { return sim->runShared(job.config, job.maxCycles); },
-            retry);
+        return sim->runShared(job.config, job.maxCycles);
     });
 }
 
 std::vector<RunResult>
 RunPool::runConfigs(Simulator &sim,
                     const std::vector<core::MachineConfig> &configs,
-                    Cycle max_cycles, const RetryPolicy &retry)
+                    Cycle max_cycles)
 {
     if (configs.empty())
         return {};
     sim.prepare();
     ThreadPool pool(_threads);
     return parallelIndex(pool, configs.size(), [&](std::size_t i) {
-        return runWithRetry(
-            [&] { return sim.runShared(configs[i], max_cycles); },
-            retry);
+        return sim.runShared(configs[i], max_cycles);
     });
 }
 

@@ -15,8 +15,6 @@
 #ifndef EDGE_SIM_RUN_POOL_HH
 #define EDGE_SIM_RUN_POOL_HH
 
-#include <atomic>
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -35,48 +33,6 @@ struct RunJob
     Cycle maxCycles = 500'000'000;
 };
 
-/**
- * Bounded retry with backoff for *transient* (host-level) failures —
- * today that is exactly SimError::Reason::HostDeadline, the
- * wall-clock guard. Deterministic failures (watchdog, invariant
- * violation, protocol panic, livelock, divergence) are properties of
- * (program, config, seed) and are NEVER retried: rerunning them
- * would burn time to reproduce the same bits. A cell that fails
- * deterministically is quarantined — reported as a structured row
- * while the rest of the grid keeps running.
- */
-struct RetryPolicy
-{
-    /** Total attempts per cell (1 = no retry). */
-    unsigned maxAttempts = 3;
-    /** Sleep before the first retry; doubles on each further one. */
-    unsigned backoffMs = 10;
-    /**
-     * Hard cap on the *total* milliseconds of backoff one cell may
-     * accumulate across all its retries. Exponential doubling is
-     * clipped against whatever budget remains, so a cell can never
-     * stall a grid for more than this long in sleeps.
-     */
-    std::uint64_t maxTotalBackoffMs = 2'000;
-    /**
-     * Cooperative cancellation flag (not owned; may be null). A
-     * backoff sleep polls it and aborts early — during shutdown no
-     * cell sits in an un-cancellable sleep. When it becomes true the
-     * cell's current result is accepted as-is, with no further
-     * attempts. The campaign supervisor points this at its stop flag.
-     */
-    const std::atomic<bool> *cancel = nullptr;
-
-    /** Should this result be retried at the given attempt number? */
-    bool
-    shouldRetry(const RunResult &result, unsigned attempt) const
-    {
-        return attempt < maxAttempts &&
-               chaos::isTransient(result.error.reason) &&
-               !(cancel && cancel->load(std::memory_order_relaxed));
-    }
-};
-
 class RunPool
 {
   public:
@@ -91,12 +47,11 @@ class RunPool
      * computed first (also in parallel, one job per program); then
      * every cell runs as its own pool job. Run failures (watchdog,
      * invariant violation, protocol panic, divergence) are per-cell
-     * data in RunResult — one bad cell never aborts the grid.
-     * Transient host-level failures are retried per `retry`; the
-     * accepted result's `retries` field reports how many times.
+     * data in RunResult — one bad cell never aborts the grid. Each
+     * cell runs exactly once: a run is a pure function of (program,
+     * config, seed), so a rerun could only repeat the same bits.
      */
-    std::vector<RunResult> runAll(const std::vector<RunJob> &jobs,
-                                  const RetryPolicy &retry = {});
+    std::vector<RunResult> runAll(const std::vector<RunJob> &jobs);
 
     /**
      * Run many configs of one already-constructed Simulator without
@@ -107,13 +62,9 @@ class RunPool
     std::vector<RunResult>
     runConfigs(Simulator &sim,
                const std::vector<core::MachineConfig> &configs,
-               Cycle max_cycles = 500'000'000,
-               const RetryPolicy &retry = {});
+               Cycle max_cycles = 500'000'000);
 
   private:
-    RunResult runWithRetry(const std::function<RunResult()> &once,
-                           const RetryPolicy &retry) const;
-
     unsigned _threads;
 };
 

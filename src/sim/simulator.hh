@@ -53,20 +53,6 @@ struct RunResult
     /** Individual invariant checks evaluated (0 when off). */
     std::uint64_t invariantChecks = 0;
     /**
-     * Transparent retries the grid retry policy performed before
-     * this result was accepted (0 for first-attempt results; only
-     * host-level transient failures are ever retried).
-     */
-    unsigned retries = 0;
-    /**
-     * Total milliseconds the retry policy spent backing off before
-     * this result was accepted (0 when no retry happened). Surfaced
-     * in per-cell bench JSON rows so slow hosts are visible in
-     * campaign artifacts.
-     */
-    std::uint64_t backoffMs = 0;
-
-    /**
      * Snapshot of every counter of the run's StatSet, sorted by
      * name. Lets parallel runs (sim::RunPool), whose per-run StatSet
      * dies with the job, still report arbitrary counters — and lets

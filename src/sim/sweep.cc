@@ -22,8 +22,6 @@ ChaosSweepReport::summary() const
             o.result.halted, o.result.archMatch);
         if (!o.result.error.ok())
             out += "    " + o.result.error.format() + "\n";
-        if (o.result.retries != 0)
-            out += strfmt("    retries=%u\n", o.result.retries);
         if (!o.reproPath.empty())
             out += strfmt("    to reproduce: edgesim --replay %s\n",
                           o.reproPath.c_str());
@@ -88,7 +86,7 @@ chaosSweep(const isa::Program &program, const ChaosSweepParams &params)
     }
 
     RunPool pool(params.threads);
-    std::vector<RunResult> results = pool.runAll(jobs, params.retry);
+    std::vector<RunResult> results = pool.runAll(jobs);
 
     std::vector<ChaosSweepOutcome> runs;
     runs.reserve(cells.size());

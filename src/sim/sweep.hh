@@ -41,8 +41,6 @@ struct ChaosSweepParams
     chaos::Mutation mutation = chaos::Mutation::None;
     /** Node the planted mutation applies to. */
     unsigned mutationNode = 0;
-    /** Transient-failure retry policy applied to every cell. */
-    RetryPolicy retry;
 };
 
 /** One (seed, config) cell of the sweep grid. */

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <thread>
 
 #include "common/logging.hh"
@@ -80,8 +79,6 @@ struct Supervisor::Child
 {
     pid_t pid = -1;
     std::size_t index = 0;    ///< cell index in the runAll batch
-    unsigned attempt = 1;
-    std::uint64_t backoffAccum = 0;
     int inFd = -1;            ///< writes the spec to the child
     int outFd = -1;           ///< reads the result document
     std::string inBuf;
@@ -186,11 +183,9 @@ deathResult(const CellSpec &cell, chaos::SimError::Reason reason,
  *  docs/PROTOCOL.md, "Supervised campaigns"). */
 sim::RunResult
 classifyExit(const CellSpec &cell, int status, bool timed_out,
-             std::uint64_t timeout_ms, const std::string &out_buf,
-             bool *parsed_ok)
+             std::uint64_t timeout_ms, const std::string &out_buf)
 {
     using Reason = chaos::SimError::Reason;
-    *parsed_ok = false;
 
     if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
@@ -230,7 +225,6 @@ classifyExit(const CellSpec &cell, int status, bool timed_out,
             cell, Reason::WorkerProtocol,
             "worker exited 0 but returned no valid result document "
             "(" + err + ")");
-    *parsed_ok = true;
     return r;
 }
 
@@ -251,23 +245,12 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
 {
     std::vector<std::optional<sim::RunResult>> out(cells.size());
 
-    struct Pending
-    {
-        std::size_t index;
-        unsigned attempt = 1;
-        std::uint64_t backoffAccum = 0;
-        Clock::time_point notBefore;
-    };
-    std::deque<Pending> pending;
-
-    const Clock::time_point now0 = Clock::now();
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        pending.push_back({i, 1, 0, now0});
+    std::size_t next = 0; // first cell not yet launched
 
     std::vector<Child> active;
     active.reserve(_opts.jobs);
 
-    while (!pending.empty() || !active.empty()) {
+    while (next < cells.size() || !active.empty()) {
         if (stopRequested()) {
             // Kill and reap everything in flight; their cells stay
             // nullopt, so the caller reports only completed work.
@@ -282,35 +265,23 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
             break;
         }
 
-        const Clock::time_point now = Clock::now();
-
-        // Launch every ready pending cell while there is capacity.
-        for (auto it = pending.begin();
-             active.size() < _opts.jobs && it != pending.end();) {
-            if (it->notBefore > now) {
-                ++it;
-                continue;
-            }
+        // Launch cells in order while there is capacity.
+        for (; active.size() < _opts.jobs && next < cells.size(); ++next) {
             Child c;
-            c.index = it->index;
-            c.attempt = it->attempt;
-            c.backoffAccum = it->backoffAccum;
-            if (!spawn(c, cells[it->index])) {
-                finalize(out[it->index],
-                         deathResult(cells[it->index],
+            c.index = next;
+            if (!spawn(c, cells[next]))
+                finalize(out[next],
+                         deathResult(cells[next],
                                      chaos::SimError::Reason::
                                          WorkerProtocol,
                                      strfmt("fork/pipe failed: %s",
                                             std::strerror(errno))));
-            } else {
+            else
                 active.push_back(std::move(c));
-            }
-            it = pending.erase(it);
         }
 
-        // Poll every live pipe; wake early for the nearest deadline
-        // or backoff expiry, and at least every 100 ms for the stop
-        // flag.
+        // Poll every live pipe; wake early for the nearest deadline,
+        // and at least every 100 ms for the stop flag.
         std::vector<pollfd> fds;
         std::vector<std::pair<std::size_t, bool>> fdOwner; // (child, isIn)
         for (std::size_t ci = 0; ci < active.size(); ++ci) {
@@ -324,6 +295,7 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
                 fdOwner.emplace_back(ci, false);
             }
         }
+        const Clock::time_point now = Clock::now();
         int timeout_ms = 100;
         for (const Child &c : active)
             if (c.hasDeadline && !c.timedOut) {
@@ -335,15 +307,6 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
                     timeout_ms,
                     static_cast<int>(std::max<long long>(0, left)));
             }
-        for (const Pending &p : pending) {
-            auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    p.notBefore - now)
-                    .count();
-            if (left > 0)
-                timeout_ms = std::min<int>(
-                    timeout_ms, static_cast<int>(left));
-        }
         int rc = ::poll(fds.empty() ? nullptr : fds.data(),
                         static_cast<nfds_t>(fds.size()), timeout_ms);
         if (rc < 0 && errno != EINTR)
@@ -404,36 +367,9 @@ Supervisor::runAll(const std::vector<CellSpec> &cells)
             closeFd(it->inFd);
             closeFd(it->outFd);
 
-            const CellSpec &cell = cells[it->index];
-            bool parsed = false;
-            sim::RunResult r =
-                classifyExit(cell, st, it->timedOut,
-                             _opts.cellTimeoutMs, it->outBuf, &parsed);
-
-            if (_opts.retry.shouldRetry(r, it->attempt) &&
-                !stopRequested()) {
-                // Same doubling-with-budget backoff as the in-process
-                // pool, but scheduled on the poll loop instead of
-                // slept: other cells keep running underneath.
-                std::uint64_t backoff = std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(_opts.retry.backoffMs)
-                        << (it->attempt - 1),
-                    _opts.retry.maxTotalBackoffMs -
-                        std::min(_opts.retry.maxTotalBackoffMs,
-                                 it->backoffAccum));
-                Pending p;
-                p.index = it->index;
-                p.attempt = it->attempt + 1;
-                p.backoffAccum = it->backoffAccum + backoff;
-                p.notBefore =
-                    Clock::now() +
-                    std::chrono::milliseconds(backoff);
-                pending.push_back(p);
-            } else {
-                r.retries = it->attempt - 1;
-                r.backoffMs = it->backoffAccum;
-                finalize(out[it->index], std::move(r));
-            }
+            finalize(out[it->index],
+                     classifyExit(cells[it->index], st, it->timedOut,
+                                  _opts.cellTimeoutMs, it->outBuf));
             it = active.erase(it);
         }
     }

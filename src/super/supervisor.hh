@@ -37,9 +37,6 @@ struct SupervisorOptions
     /** Per-cell wall-clock deadline; the child is SIGKILLed past it
      *  and the cell reports WorkerTimeout. 0 = no deadline. */
     std::uint64_t cellTimeoutMs = 0;
-    /** Retry policy for transient (timeout) failures. Deterministic
-     *  worker deaths are never retried in-session. */
-    sim::RetryPolicy retry;
 };
 
 class Supervisor

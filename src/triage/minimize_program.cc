@@ -321,10 +321,10 @@ applyProgram(const ReproSpec &spec, const isa::Program &minimized)
     shrunk.program = embeddedRef(spec.program.kernel, minimized,
                                  spec.program.params.seed);
     shrunk.programHash = programHash(minimized);
-    // Re-observe the failure: the cycle, retry count, and chaos-event
-    // schedule of the shrunk program all legitimately differ from the
-    // original capture, and a stale signature would fail replay's
-    // bit-identity check.
+    // Re-observe the failure: the cycle and chaos-event schedule of
+    // the shrunk program legitimately differ from the original
+    // capture, and a stale signature would fail replay's bit-identity
+    // check.
     sim::RunResult result = replay(shrunk);
     return captureFromResult(shrunk.program, shrunk.config,
                              shrunk.maxCycles, result);

@@ -97,7 +97,6 @@ toJson(const ReproSpec &spec)
     failure.set("error", errorToJson(spec.error));
     failure.set("halted", JsonValue::boolean(spec.halted));
     failure.set("arch_match", JsonValue::boolean(spec.archMatch));
-    failure.set("retries", JsonValue::u64(spec.retries));
     root.set("failure", std::move(failure));
 
     JsonValue sched = JsonValue::array();
@@ -151,7 +150,6 @@ fromJson(const JsonValue &root, ReproSpec *spec, std::string *err)
             errorFromJson(*e, &spec->error);
         spec->halted = failure->getBool("halted");
         spec->archMatch = failure->getBool("arch_match");
-        spec->retries = static_cast<unsigned>(failure->getU64("retries"));
     }
 
     spec->schedule.clear();
@@ -231,7 +229,6 @@ captureFromResult(const ProgramRef &program,
     spec.error = result.error;
     spec.halted = result.halted;
     spec.archMatch = result.archMatch;
-    spec.retries = result.retries;
     spec.schedule = result.chaosEvents;
     return spec;
 }

@@ -75,7 +75,6 @@ struct ReproSpec
     chaos::SimError error;
     bool halted = false;
     bool archMatch = false;
-    unsigned retries = 0;
     /** The failing run's full fault-event schedule (the minimizer's
      *  starting universe); may be truncated for pathological runs. */
     std::vector<chaos::FaultEvent> schedule;

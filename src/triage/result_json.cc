@@ -270,7 +270,6 @@ configToJson(const core::MachineConfig &cfg)
     o.set("rng_seed", JsonValue::u64(cfg.rngSeed));
     o.set("check_invariants", JsonValue::boolean(cfg.checkInvariants));
     o.set("trace_depth", JsonValue::u64(cfg.traceDepth));
-    o.set("wall_deadline_ms", JsonValue::u64(cfg.wallDeadlineMs));
     o.set("engine", JsonValue::str(core::engineName(cfg.engine)));
     o.set("core", coreToJson(cfg.core));
     o.set("mem", memToJson(cfg.mem));
@@ -294,7 +293,6 @@ configFromJson(const JsonValue &o, core::MachineConfig *cfg)
     cfg->checkInvariants =
         o.getBool("check_invariants", cfg->checkInvariants);
     cfg->traceDepth = o.getU64("trace_depth", cfg->traceDepth);
-    cfg->wallDeadlineMs = o.getU64("wall_deadline_ms", cfg->wallDeadlineMs);
     // Absent in pre-engine repro files: keep the config's default so
     // old repros stay loadable (both engines replay identically).
     cfg->engine = core::engineByName(
@@ -381,8 +379,6 @@ resultToJson(const sim::RunResult &r)
     o.set("chaos_events", std::move(sched));
 
     o.set("invariant_checks", JsonValue::u64(r.invariantChecks));
-    o.set("retries", JsonValue::u64(r.retries));
-    o.set("backoff_ms", JsonValue::u64(r.backoffMs));
 
     JsonValue counters = JsonValue::array();
     for (const auto &kv : r.counters) {
@@ -463,8 +459,6 @@ resultFromJson(const JsonValue &o, sim::RunResult *r, std::string *err)
     }
 
     r->invariantChecks = o.getU64("invariant_checks");
-    r->retries = static_cast<unsigned>(o.getU64("retries"));
-    r->backoffMs = o.getU64("backoff_ms");
 
     r->counters.clear();
     if (const JsonValue *counters = o.get("counters")) {

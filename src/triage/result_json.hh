@@ -10,6 +10,10 @@
  * bucket, chaos event and metric reconstructs bit-identically, so a
  * report assembled from deserialized worker results is byte-identical
  * to the same report assembled from in-process runs.
+ *
+ * Readers skip keys they do not know, so documents written by older
+ * builds (with `wall_deadline_ms`, `retries` or `backoff_ms`) still
+ * load.
  */
 
 #ifndef EDGE_TRIAGE_RESULT_JSON_HH

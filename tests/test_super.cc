@@ -93,14 +93,12 @@ dump(const sim::RunResult &r)
     return triage::resultToJson(r).dumpCompact();
 }
 
-/** Single-attempt options: classification tests must observe the
- *  first death, not a retried timeout. */
+/** Two worker processes, no cell deadline. */
 super::SupervisorOptions
-noRetryOptions()
+twoJobOptions()
 {
     super::SupervisorOptions so;
     so.jobs = 2;
-    so.retry.maxAttempts = 1;
     return so;
 }
 
@@ -160,6 +158,10 @@ TEST(SuperWorker, ProducesTheInProcessResultBitIdentically)
     std::string err;
     std::string line = out.str();
     ASSERT_TRUE(triage::JsonValue::parse(line, &root, &err)) << err;
+    // Workers of builds that had a retry policy also sent retries and
+    // backoff_ms; the reader skips both.
+    root.set("retries", triage::JsonValue::u64(2));
+    root.set("backoff_ms", triage::JsonValue::u64(30));
     sim::RunResult r;
     ASSERT_TRUE(triage::resultFromJson(root, &r, &err)) << err;
     EXPECT_TRUE(r.halted);
@@ -190,7 +192,7 @@ TEST(SuperWorker, OversizedSpecIsBoundedProtocolError)
 
 sim::RunResult
 runOneSupervised(const std::string &crash_mode,
-                 super::SupervisorOptions so = noRetryOptions())
+                 super::SupervisorOptions so = twoJobOptions())
 {
     super::CellSpec cell = kernelCell(1);
     cell.testCrash = crash_mode;
@@ -204,7 +206,7 @@ runOneSupervised(const std::string &crash_mode,
 TEST(SuperClassify, CleanCellMatchesInProcessRun)
 {
     super::CellSpec cell = kernelCell(11);
-    super::Supervisor sup(noRetryOptions());
+    super::Supervisor sup(twoJobOptions());
     std::vector<std::optional<sim::RunResult>> out = sup.runAll({cell});
     ASSERT_EQ(out.size(), 1u);
     ASSERT_TRUE(out[0].has_value());
@@ -217,7 +219,6 @@ TEST(SuperClassify, SegvIsWorkerCrash)
 {
     sim::RunResult r = runOneSupervised("segv");
     EXPECT_EQ(r.error.reason, chaos::SimError::Reason::WorkerCrash);
-    EXPECT_FALSE(chaos::isTransient(r.error.reason));
 }
 
 TEST(SuperClassify, AbortIsWorkerCrash)
@@ -234,11 +235,10 @@ TEST(SuperClassify, SigkillIsWorkerKilled)
 
 TEST(SuperClassify, HangPastDeadlineIsWorkerTimeout)
 {
-    super::SupervisorOptions so = noRetryOptions();
+    super::SupervisorOptions so = twoJobOptions();
     so.cellTimeoutMs = 300;
     sim::RunResult r = runOneSupervised("hang", so);
     EXPECT_EQ(r.error.reason, chaos::SimError::Reason::WorkerTimeout);
-    EXPECT_TRUE(chaos::isTransient(r.error.reason));
 }
 
 TEST(SuperClassify, CleanExitWithoutResultIsWorkerProtocol)
@@ -258,7 +258,7 @@ TEST(SuperClassify, WorkerDeathCapturesRepro)
     // cell's result after the supervisor returns it.
     super::CellSpec cell = kernelCell(1);
     cell.testCrash = "kill";
-    super::Supervisor sup(noRetryOptions());
+    super::Supervisor sup(twoJobOptions());
     std::vector<std::optional<sim::RunResult>> out = sup.runAll({cell});
     ASSERT_EQ(out.size(), 1u);
     ASSERT_TRUE(out[0].has_value());
@@ -285,7 +285,7 @@ TEST(SuperStop, StopKillsAndReapsRunningWorkers)
     // kill and reap the running workers and return every cell unrun.
     // The deadline only bounds a broken stop; it turns that into a
     // failed test (ran cells) instead of a hung one.
-    super::SupervisorOptions so = noRetryOptions();
+    super::SupervisorOptions so = twoJobOptions();
     so.cellTimeoutMs = 30'000;
     std::vector<super::CellSpec> cells(4, kernelCell(1));
     for (super::CellSpec &cell : cells)
@@ -324,7 +324,7 @@ TEST(SuperStop, SignalHandlerSetsGlobalStop)
     std::raise(SIGTERM);
     EXPECT_EQ(super::stopSignal(), SIGTERM);
 
-    super::Supervisor sup(noRetryOptions());
+    super::Supervisor sup(twoJobOptions());
     EXPECT_TRUE(sup.stopRequested());
     super::clearStopSignal();
     EXPECT_EQ(super::stopSignal(), 0);
@@ -338,7 +338,6 @@ TEST(SuperCampaign, IsolatedSweepReportIsByteIdentical)
     params.seeds = {1, 2};
     params.configs = {"dsre"};
     params.maxCycles = 200'000'000;
-    params.retry.maxAttempts = 1;
 
     triage::ProgramRef ref;
     ref.kernel = "parserish";
@@ -347,7 +346,7 @@ TEST(SuperCampaign, IsolatedSweepReportIsByteIdentical)
 
     sim::ChaosSweepReport inproc = sim::chaosSweep(prog, params);
 
-    super::SupervisorOptions so = noRetryOptions();
+    super::SupervisorOptions so = twoJobOptions();
     super::Supervisor sup(std::move(so));
     bool interrupted = true;
     sim::ChaosSweepReport isolated =

@@ -2,10 +2,10 @@
  * @file
  * Failure-triage tests: repro capture of failing chaos-sweep cells
  * and bit-identical replay, ddmin schedule minimization (synthetic
- * predicate and end-to-end on a real failure), the transient-only
- * retry policy, and quarantine keeping a grid green. The heavyweight
- * planted-failure cases reuse the mutation machinery, so most of
- * this file is gated on EDGE_MUTATIONS like the mutation tests.
+ * predicate and end-to-end on a real failure), and quarantine keeping
+ * a grid green. The heavyweight planted-failure cases reuse the
+ * mutation machinery, so most of this file is gated on EDGE_MUTATIONS
+ * like the mutation tests.
  */
 
 #include <cstdio>
@@ -100,7 +100,6 @@ TEST(TriageRepro, SpecSurvivesSaveAndLoad)
         chaos::ChaosParams::byProfile(chaos::Profile::Lsq, 5);
     spec.config.chaos.filterSchedule = true;
     spec.config.chaos.allowedEvents = {3, 17, 99};
-    spec.config.wallDeadlineMs = 1234;
     spec.maxCycles = 777'777;
     spec.error.reason = chaos::SimError::Reason::InvariantViolation;
     spec.error.invariant = "value-identity-squash";
@@ -111,7 +110,6 @@ TEST(TriageRepro, SpecSurvivesSaveAndLoad)
     spec.error.trace = {"cycle 1 deliver", "cycle 2 send"};
     spec.halted = false;
     spec.archMatch = false;
-    spec.retries = 2;
     chaos::FaultEvent ev;
     ev.ordinal = 9;
     ev.site = chaos::FaultEvent::Site::Spurious;
@@ -136,7 +134,6 @@ TEST(TriageRepro, SpecSurvivesSaveAndLoad)
     EXPECT_TRUE(back.config.chaos.filterSchedule);
     EXPECT_EQ(back.config.chaos.allowedEvents,
               (std::vector<std::uint64_t>{3, 17, 99}));
-    EXPECT_EQ(back.config.wallDeadlineMs, 1234u);
     EXPECT_EQ(back.maxCycles, 777'777u);
     EXPECT_EQ(back.error.reason,
               chaos::SimError::Reason::InvariantViolation);
@@ -144,9 +141,33 @@ TEST(TriageRepro, SpecSurvivesSaveAndLoad)
     EXPECT_EQ(back.error.cycle, 4242u);
     EXPECT_EQ(back.error.node, 7u);
     EXPECT_EQ(back.error.trace.size(), 2u);
-    EXPECT_EQ(back.retries, 2u);
     ASSERT_EQ(back.schedule.size(), 1u);
     EXPECT_EQ(back.schedule[0], ev);
+
+    // Files written by builds that still had a host deadline and a
+    // retry policy carry config.wall_deadline_ms and the failure's
+    // retries/backoff_ms. Readers skip those keys: such a file loads
+    // to the same spec and replays.
+    spec.programHash = triage::programHash(triage::buildProgram(spec.program));
+    triage::JsonValue legacy = triage::toJson(spec);
+    triage::JsonValue cfg = *legacy.get("config");
+    cfg.set("wall_deadline_ms", triage::JsonValue::u64(1234));
+    legacy.set("config", std::move(cfg));
+    triage::JsonValue failure = *legacy.get("failure");
+    failure.set("retries", triage::JsonValue::u64(2));
+    failure.set("backoff_ms", triage::JsonValue::u64(30));
+    legacy.set("failure", std::move(failure));
+    std::string legacy_path = dir.str() + "/legacy.repro.json";
+    {
+        std::ofstream out(legacy_path);
+        out << legacy.dump();
+    }
+    triage::ReproSpec old;
+    ASSERT_TRUE(triage::load(legacy_path, &old, &err)) << err;
+    EXPECT_EQ(triage::toJson(old).dump(), triage::toJson(spec).dump());
+    sim::RunResult replayed = triage::replay(old);
+    EXPECT_TRUE(replayed.halted && replayed.archMatch)
+        << replayed.error.format();
 }
 
 TEST(TriageRepro, ProgramHashTracksContent)
@@ -162,7 +183,7 @@ TEST(TriageRepro, ProgramHashTracksContent)
 }
 
 // ---------------------------------------------------------------------
-// Exit-code and transiency mapping (satellite a).
+// Exit-code mapping.
 // ---------------------------------------------------------------------
 
 TEST(TriageExitCodes, DistinctPerReasonAndDocumented)
@@ -173,22 +194,15 @@ TEST(TriageExitCodes, DistinctPerReasonAndDocumented)
     EXPECT_EQ(chaos::exitCodeFor(Reason::InvariantViolation), 11);
     EXPECT_EQ(chaos::exitCodeFor(Reason::ProtocolPanic), 12);
     EXPECT_EQ(chaos::exitCodeFor(Reason::Livelock), 13);
-    EXPECT_EQ(chaos::exitCodeFor(Reason::HostDeadline), 14);
 
     std::set<int> codes;
     for (Reason r : {Reason::None, Reason::Watchdog,
                      Reason::InvariantViolation, Reason::ProtocolPanic,
-                     Reason::Livelock, Reason::HostDeadline}) {
+                     Reason::Livelock}) {
         codes.insert(chaos::exitCodeFor(r));
         EXPECT_EQ(chaos::reasonByName(chaos::reasonName(r)), r);
     }
-    EXPECT_EQ(codes.size(), 6u);
-
-    EXPECT_TRUE(chaos::isTransient(Reason::HostDeadline));
-    for (Reason r : {Reason::None, Reason::Watchdog,
-                     Reason::InvariantViolation, Reason::ProtocolPanic,
-                     Reason::Livelock})
-        EXPECT_FALSE(chaos::isTransient(r)) << chaos::reasonName(r);
+    EXPECT_EQ(codes.size(), 5u);
 }
 
 // ---------------------------------------------------------------------
@@ -275,50 +289,6 @@ TEST(TriageMinimize, DeterministicAcrossThreadCounts)
     EXPECT_EQ(a.ordinals.size(), 2u);
 }
 
-// ---------------------------------------------------------------------
-// Retry policy: transient host failures are retried, deterministic
-// failures never are.
-// ---------------------------------------------------------------------
-
-TEST(TriageRetry, HostDeadlineIsRetriedToExhaustion)
-{
-    // A 0-cycle... rather, a 1 ms wall deadline cannot complete the
-    // kernel, so every attempt fails with HostDeadline and the policy
-    // runs out of attempts.
-    wl::KernelParams kp;
-    kp.iterations = 2000;
-    isa::Program prog = wl::build("mcfish", kp);
-    sim::RunJob job;
-    job.program = &prog;
-    job.config = sim::Configs::dsre();
-    job.config.wallDeadlineMs = 1;
-
-    sim::RetryPolicy retry;
-    retry.maxAttempts = 3;
-    retry.backoffMs = 1;
-    sim::RunPool pool(2);
-    std::vector<sim::RunResult> results = pool.runAll({job}, retry);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].error.reason,
-              chaos::SimError::Reason::HostDeadline);
-    EXPECT_EQ(results[0].retries, 2u);
-}
-
-TEST(TriageRetry, CleanRunHasZeroRetries)
-{
-    wl::KernelParams kp;
-    kp.iterations = 60;
-    isa::Program prog = wl::build("gzipish", kp);
-    sim::RunJob job;
-    job.program = &prog;
-    job.config = sim::Configs::dsre();
-    sim::RunPool pool(2);
-    std::vector<sim::RunResult> results = pool.runAll({job});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].error.ok());
-    EXPECT_EQ(results[0].retries, 0u);
-}
-
 #ifdef EDGE_MUTATIONS
 
 /** The planted deterministic failure every triage test drives:
@@ -346,31 +316,6 @@ plantedProgram()
     ref.params.iterations = 150;
     ref.params.seed = 1;
     return ref;
-}
-
-TEST(TriageRetry, DeterministicInvariantFailureIsNeverRetried)
-{
-    triage::ProgramRef ref = plantedProgram();
-    isa::Program prog = triage::buildProgram(ref);
-    sim::RunJob job;
-    job.program = &prog;
-    job.config = sim::Configs::dsre();
-    job.config.rngSeed = 5;
-    job.config.chaos =
-        chaos::ChaosParams::byProfile(chaos::Profile::Lsq, 5);
-    job.config.chaos.mutation = chaos::Mutation::SkipSquash;
-    job.config.chaos.mutationNode = ~0u;
-    job.config.checkInvariants = true;
-
-    sim::RetryPolicy retry;
-    retry.maxAttempts = 5;
-    retry.backoffMs = 0;
-    sim::RunPool pool(2);
-    std::vector<sim::RunResult> results = pool.runAll({job}, retry);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].error.reason,
-              chaos::SimError::Reason::InvariantViolation);
-    EXPECT_EQ(results[0].retries, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -496,8 +441,6 @@ TEST(TriageQuarantine, FailingCellDoesNotPoisonTheGrid)
         bench::runSpecs({bad, good}, /*threads=*/4);
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_FALSE(rows[0].ok());
-    EXPECT_TRUE(rows[0].quarantined());
-    EXPECT_FALSE(rows[0].fatalTransient());
     EXPECT_TRUE(rows[1].ok()) << rows[1].failure();
 
     // finishBench captures the repro, reports the failure, and exits
@@ -512,7 +455,7 @@ TEST(TriageQuarantine, FailingCellDoesNotPoisonTheGrid)
     EXPECT_TRUE(std::filesystem::exists(rows[0].reproPath));
     EXPECT_TRUE(rows[1].reproPath.empty());
 
-    // The JSON report carries the repro path and the quarantine
+    // The JSON report carries the repro path and the failed-cell
     // tally.
     std::ifstream in(args.jsonPath);
     std::stringstream buf;
@@ -521,8 +464,7 @@ TEST(TriageQuarantine, FailingCellDoesNotPoisonTheGrid)
     std::string err;
     ASSERT_TRUE(triage::JsonValue::parse(buf.str(), &json, &err))
         << err;
-    EXPECT_EQ(json.getU64("quarantined"), 1u);
-    EXPECT_EQ(json.getU64("fatal"), 0u);
+    EXPECT_EQ(json.getU64("failed"), 1u);
     const triage::JsonValue *cells = json.get("cells");
     ASSERT_NE(cells, nullptr);
     ASSERT_EQ(cells->items().size(), 2u);

@@ -25,10 +25,9 @@
  *    4  replay did NOT reproduce the recorded failure signature
  *   10  deadlock watchdog        11  invariant violation
  *   12  protocol panic           13  livelock
- *   14  host wall-clock deadline
  *   15  worker crash             16  worker killed
  *   17  worker timeout           18  worker protocol
- *   19-22  retired; never reused
+ *   14, 19-22  retired; never reused
  *   128+N  supervised campaign interrupted by signal N
  */
 
@@ -66,7 +65,6 @@ usage()
         "               [--chaos-profile <name>] [--chaos-seed N]\n"
         "               [--check-invariants] [--chaos-sweep N]\n"
         "               [--mutate <name>] [--mutate-node N]\n"
-        "               [--wall-deadline-ms N]\n"
         "               [--capture-repro <dir>] [--minimize]\n"
         "               [-j N] [--set key=value ...]\n"
         "       edgesim --replay <file.repro.json> [--minimize] [-j N]\n"
@@ -88,11 +86,15 @@ usage()
         "         (default: hardware concurrency; results are\n"
         "         bit-identical to -j 1)\n"
         "\n"
-        "supervised campaigns (sweeps and fuzzing):\n"
+        "supervised campaigns (--chaos-sweep and --fuzz only):\n"
         "  --isolate  run every grid cell in its own child process;\n"
         "         a segfaulting/OOM-killed/hung cell becomes a\n"
         "         structured failure row, never a dead campaign\n"
         "  --cell-timeout-ms N  SIGKILL a cell past this deadline\n"
+        "         (needs --isolate)\n"
+        "\n"
+        "  --set key=value  override one machine parameter (single-\n"
+        "         kernel runs only; keys listed below)\n"
         "\n"
         "  --version  print the build provenance line\n"
         "  --capture-repro <dir>  write a .repro.json for every\n"
@@ -104,9 +106,9 @@ usage()
         "\n"
         "exit codes: 0 ok, 1 usage/config, 2 divergence, 3 sweep\n"
         "  failures, 4 replay mismatch, 10 watchdog, 11 invariant\n"
-        "  violation, 12 protocol panic, 13 livelock, 14 host\n"
-        "  deadline, 15-18 worker crash/kill/timeout/protocol\n"
-        "  (19-22 retired), 128+N interrupted by signal N\n"
+        "  violation, 12 protocol panic, 13 livelock, 15-18 worker\n"
+        "  crash/kill/timeout/protocol (14, 19-22 retired), 128+N\n"
+        "  interrupted by signal N\n"
         "\n"
         "configs: ");
     for (const auto &c : sim::Configs::allNames())
@@ -345,7 +347,6 @@ main(int argc, char **argv)
     unsigned threads = 0;
     chaos::Mutation mutation = chaos::Mutation::None;
     unsigned mutation_node = 0;
-    std::uint64_t wall_deadline_ms = 0;
     std::string repro_dir;
     std::string replay_path;
     bool minimize = false;
@@ -414,8 +415,6 @@ main(int argc, char **argv)
 #endif
         } else if (arg == "--mutate-node") {
             mutation_node = static_cast<unsigned>(nextU64(UINT_MAX));
-        } else if (arg == "--wall-deadline-ms") {
-            wall_deadline_ms = nextU64();
         } else if (arg == "--capture-repro") {
             repro_dir = next();
         } else if (arg == "--isolate") {
@@ -454,7 +453,24 @@ main(int argc, char **argv)
         }
     }
 
-    if (!replay_path.empty())
+    // Refuse a flag the selected mode would silently drop.
+    const bool replay = !replay_path.empty();
+    const bool campaign = !replay && (fuzz_count > 0 || sweep_seeds > 0);
+    const char *mode = replay            ? "--replay"
+                       : fuzz_count > 0  ? "--fuzz"
+                       : sweep_seeds > 0 ? "--chaos-sweep"
+                                         : "a single-kernel run";
+    fatal_if(isolate && !campaign,
+             "--isolate is read only by --chaos-sweep and --fuzz, not "
+             "by %s", mode);
+    fatal_if(cell_timeout_ms != 0 && !isolate,
+             "--cell-timeout-ms is read only with --isolate (on "
+             "--chaos-sweep or --fuzz)");
+    fatal_if(!overrides.empty() && (replay || campaign),
+             "--set is read only by a single-kernel run, not by %s",
+             mode);
+
+    if (replay)
         return replayMain(replay_path, minimize, threads);
 
     // Shared supervisor setup for the --isolate campaign paths.
@@ -502,7 +518,6 @@ main(int argc, char **argv)
     cfg.chaos.mutation = mutation;
     cfg.chaos.mutationNode = mutation_node;
     cfg.checkInvariants = check_invariants;
-    cfg.wallDeadlineMs = wall_deadline_ms;
 
     triage::ProgramRef prog_ref{kernel, kp};
 
