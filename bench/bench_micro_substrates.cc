@@ -5,12 +5,15 @@
  * timestamp accesses, mesh routing and send/deliver, sparse-memory
  * traffic, block construction + placement, functional reference
  * execution, an execution node's issue scan over a 16-frame window,
+ * mapping a placed block onto the grid and clearing it again,
  * the LSQ's two hot paths (store resolution over a full window,
  * policy-gated load issue), and a full end-to-end simulated kernel.
  * These guard against accidental slowdowns of the simulator.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <bit>
 
 #include "common/rng.hh"
 #include "compiler/builder.hh"
@@ -131,6 +134,57 @@ BM_ExecNodeTick(benchmark::State &state)
 }
 BENCHMARK(BM_ExecNodeTick);
 
+/**
+ * The grid side of fetch/map and commit: a placed 32-instruction
+ * block (a read feeding a chain of adds) is mapped onto the 16 nodes
+ * of the default grid, one frame per iteration in turn, and the
+ * frame is cleared again on every node the block used.
+ */
+static void
+BM_ExecNodeMapClear(benchmark::State &state)
+{
+    core::CoreParams p;
+    p.numFrames = 16;
+    StatSet stats("bm");
+    core::NodeStats ns{stats.counter("core.alu_issues", ""),
+                       stats.counter("core.alu_reexecs", ""),
+                       stats.counter("core.upgrades", ""),
+                       stats.counter("core.squashes", ""),
+                       stats.histogram("core.wave_depth", "")};
+    std::vector<core::ExecNode> nodes;
+    nodes.reserve(p.numNodes());
+    for (unsigned n = 0; n < p.numNodes(); ++n)
+        nodes.emplace_back(p, ns, nullptr, n);
+
+    compiler::ProgramBuilder pb("map");
+    auto &b = pb.newBlock("chain");
+    compiler::Val v = b.readReg(1);
+    for (unsigned i = 0; i < 31; ++i)
+        v = b.addi(v, 1);
+    b.writeReg(2, v);
+    b.branchHalt(); // 32 instructions
+    isa::Program prog = pb.build();
+    const isa::Block &blk = prog.block(0);
+    compiler::Placement pl = compiler::placeBlock(
+        blk, compiler::GridGeom{p.rows, p.cols, p.slotsPerNode});
+
+    DynBlockSeq seq = 1;
+    for (auto _ : state) {
+        unsigned frame = static_cast<unsigned>(seq % p.numFrames);
+        for (std::size_t s = 0; s < blk.insts().size(); ++s) {
+            nodes[pl.nodeOf[s]].mapInst(frame, pl.localOf[s], seq,
+                                        static_cast<SlotId>(s),
+                                        blk.insts()[s]);
+        }
+        for (std::uint64_t m = pl.nodeMask; m; m &= m - 1)
+            nodes[std::countr_zero(m)].clearFrame(frame);
+        ++seq;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(blk.insts().size()));
+}
+BENCHMARK(BM_ExecNodeMapClear);
+
 static void
 BM_RouteXY(benchmark::State &state)
 {
@@ -220,13 +274,10 @@ struct LsqWindow
         DynBlockSeq first = seq;
         for (unsigned f = 0; f < kFrames; ++f, ++seq)
             queue.mapBlock(seq, seq, 0, blk);
-        std::array<isa::Target, isa::kMaxTargets> tgts{};
-        tgts[0] = isa::Target::toOperand(1, 1);
         for (DynBlockSeq s = first; s < seq; ++s) {
             for (Lsid l = 0; l < 2 * kPairs; l += 2) {
                 Addr a = 0x1000 + 8 * ((s * 7 + l) % 64);
-                queue.loadRequest(now, s, l, a, ValState::Final, 1, 0,
-                                  tgts, l);
+                queue.loadRequest(now, s, l, a, ValState::Final, 1, 0);
             }
         }
         for (DynBlockSeq s = first; s < seq; ++s) {

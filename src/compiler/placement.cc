@@ -104,6 +104,32 @@ placeBlock(const isa::Block &block, const GridGeom &geom)
         out.nodeOf[s] = static_cast<std::uint16_t>(best_node);
         ++out.perNodeCount[best_node];
     }
+
+    // Decode what the core needs per dynamic block and per message.
+    std::vector<std::uint16_t> fill(nodes, 0);
+    out.localOf.resize(n);
+    for (std::size_t s = 0; s < n; ++s) {
+        unsigned node = out.nodeOf[s];
+        out.localOf[s] = fill[node]++;
+        if (node < 64)
+            out.nodeMask |= std::uint64_t{1} << node;
+    }
+    auto dests = [&](const std::array<isa::Target, isa::kMaxTargets> &ts) {
+        Placement::Dests d{};
+        for (unsigned k = 0; k < isa::kMaxTargets; ++k) {
+            if (ts[k].kind == isa::TargetKind::Operand)
+                d[k] = geom.nodePos(out.nodeOf[ts[k].index]);
+            else if (ts[k].kind == isa::TargetKind::RegWrite)
+                d[k] = geom.regPos(block.writes()[ts[k].index].reg);
+        }
+        return d;
+    };
+    out.instDest.reserve(n);
+    for (const isa::Instruction &in : insts)
+        out.instDest.push_back(dests(in.targets));
+    out.readDest.reserve(block.reads().size());
+    for (const isa::RegRead &rd : block.reads())
+        out.readDest.push_back(dests(rd.targets));
     return out;
 }
 

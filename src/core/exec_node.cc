@@ -9,14 +9,18 @@ namespace edge::core {
 
 namespace {
 
-inline void
-setBit(std::vector<std::uint64_t> &words, unsigned idx, bool on)
+/** What an issued op of this opcode sends. */
+NodeEvent::Kind
+eventKind(isa::Opcode op)
 {
-    std::uint64_t mask = std::uint64_t{1} << (idx & 63);
-    if (on)
-        words[idx >> 6] |= mask;
-    else
-        words[idx >> 6] &= ~mask;
+    const isa::OpInfo &info = isa::opInfo(op);
+    if (info.isLoad)
+        return NodeEvent::Kind::LoadRequest;
+    if (info.isStore)
+        return NodeEvent::Kind::StoreResolve;
+    if (info.isBranch)
+        return NodeEvent::Kind::Exit;
+    return NodeEvent::Kind::Result;
 }
 
 } // namespace
@@ -31,26 +35,14 @@ ExecNode::ExecNode(const CoreParams &params, NodeStats stats,
       _flags(_numSlots, 0),
       _seen(_numSlots, 0),
       _full(_numSlots, 0),
-      _numOps(_numSlots, 0),
       _seq(_numSlots, 0),
-      _slot(_numSlots, 0),
-      _op(_numSlots, isa::Opcode::MOVI),
-      _imm(_numSlots, 0),
-      _lsid(_numSlots, 0),
-      _targets(_numSlots),
-      _opVal(_numSlots * isa::kMaxOperands, 0),
-      _opState(_numSlots * isa::kMaxOperands, ValState::Spec),
-      _opWave(_numSlots * isa::kMaxOperands, 0),
-      _lastValue(_numSlots, 0),
-      _lastData(_numSlots, 0),
-      _lastState(_numSlots, ValState::Spec),
-      _lastAddrState(_numSlots, ValState::Spec),
-      _sendCount(_numSlots, 0),
-      _lastSendWhen(_numSlots, 0),
-      _triggerDepth(_numSlots, 0),
-      _wantAlu((_numSlots + 63) / 64, 0),
-      _wantUpgrade((_numSlots + 63) / 64, 0)
+      _slotId(_numSlots, 0),
+      _slots(_numSlots),
+      _wantAlu{std::vector<std::uint64_t>((_numSlots + 63) / 64, 0)},
+      _wantUpgrade{std::vector<std::uint64_t>((_numSlots + 63) / 64, 0)}
 {
+    for (std::size_t op = 0; op < _latency.size(); ++op)
+        _latency[op] = _p.execLatency(static_cast<isa::Opcode>(op));
 }
 
 bool
@@ -75,28 +67,49 @@ ExecNode::at(unsigned frame, unsigned local) const
 }
 
 ValState
-ExecNode::inputState(unsigned rs) const
+ExecNode::inputState(const Slot &c) const
 {
     ValState s = ValState::Final;
-    for (unsigned k = 0; k < _numOps[rs]; ++k)
-        s = andState(s, _opState[rs * isa::kMaxOperands + k]);
+    for (unsigned k = 0; k < c.numOps; ++k)
+        s = andState(s, c.opState[k]);
     return s;
 }
 
 void
-ExecNode::refreshWant(unsigned rs)
+ExecNode::WantSet::set(unsigned rs)
 {
-    std::uint8_t f = _flags[rs];
-    bool ready = (f & kValid) && _seen[rs] == _full[rs];
-    bool executed = f & kExecuted;
-    bool dv = f & kDirtyValue;
-    bool ds = f & kDirtyState;
-    bool want_alu =
-        ready && (!executed || dv || (_p.commitWaveUsesAlu && ds));
-    bool want_up =
-        ready && !_p.commitWaveUsesAlu && executed && !dv && ds;
-    setBit(_wantAlu, rs, want_alu);
-    setBit(_wantUpgrade, rs, want_up);
+    std::uint64_t &w = words[rs >> 6];
+    std::uint64_t mask = std::uint64_t{1} << (rs & 63);
+    count += !(w & mask);
+    w |= mask;
+}
+
+void
+ExecNode::WantSet::clear(unsigned rs)
+{
+    std::uint64_t &w = words[rs >> 6];
+    std::uint64_t mask = std::uint64_t{1} << (rs & 63);
+    count -= (w & mask) != 0;
+    w &= ~mask;
+}
+
+void
+ExecNode::WantSet::clearRange(unsigned lo, unsigned hi)
+{
+    for (unsigned w = lo >> 6; w <= (hi - 1) >> 6; ++w) {
+        // The range's bits within word w.
+        unsigned from = std::max(lo, w * 64) - w * 64;
+        unsigned to = std::min(hi, w * 64 + 64) - w * 64;
+        std::uint64_t mask =
+            to - from == 64
+                ? ~std::uint64_t{0}
+                : ((std::uint64_t{1} << (to - from)) - 1) << from;
+        // Few bits are set, and std::popcount is a libgcc call
+        // without -mpopcnt.
+        for (std::uint64_t b = words[w] & mask; b; b &= b - 1)
+            --count;
+        words[w] &= ~mask;
+    }
 }
 
 void
@@ -105,42 +118,37 @@ ExecNode::mapInst(unsigned frame, unsigned local, DynBlockSeq seq,
 {
     unsigned rs = at(frame, local);
     panic_if(_flags[rs] & kValid, "mapping into an occupied RS slot");
-    _flags[rs] = kValid;
-    _seq[rs] = seq;
-    _slot[rs] = slot;
-    _op[rs] = inst.op;
-    _imm[rs] = inst.imm;
-    _lsid[rs] = inst.lsid;
     auto n = static_cast<std::uint8_t>(inst.numOperands());
-    _numOps[rs] = n;
-    _full[rs] = static_cast<std::uint8_t>((1u << n) - 1);
+    _flags[rs] = kValid;
     _seen[rs] = 0;
-    _targets[rs] = inst.targets;
-    for (unsigned k = 0; k < isa::kMaxOperands; ++k) {
-        unsigned oi = rs * isa::kMaxOperands + k;
-        _opVal[oi] = 0;
-        _opState[oi] = ValState::Spec;
-        _opWave[oi] = 0;
-    }
-    _lastValue[rs] = 0;
-    _lastData[rs] = 0;
-    _lastState[rs] = ValState::Spec;
-    _lastAddrState[rs] = ValState::Spec;
-    _sendCount[rs] = 0;
-    _lastSendWhen[rs] = 0;
-    _triggerDepth[rs] = 0;
-    refreshWant(rs);
+    _full[rs] = static_cast<std::uint8_t>((1u << n) - 1);
+    _seq[rs] = seq;
+    _slotId[rs] = slot;
+
+    Slot &c = _slots[rs];
+    c.imm = inst.imm;
+    c.latency = _latency[static_cast<std::size_t>(inst.op)];
+    c.lsid = inst.lsid;
+    c.op = inst.op;
+    c.kind = eventKind(inst.op);
+    c.numOps = n;
+    c.opWave = {};
+    c.sendCount = 0;
+    c.lastSendWhen = 0;
+    c.triggerDepth = 0;
+    // A zero-operand slot is ready at once.
+    if (n == 0)
+        _wantAlu.set(rs);
 }
 
 void
 ExecNode::clearFrame(unsigned frame)
 {
-    for (unsigned i = 0; i < _p.slotsPerNode; ++i) {
-        unsigned rs = frame * _p.slotsPerNode + i;
-        _flags[rs] = 0;
-        setBit(_wantAlu, rs, false);
-        setBit(_wantUpgrade, rs, false);
-    }
+    unsigned lo = frame * _p.slotsPerNode;
+    unsigned hi = lo + _p.slotsPerNode;
+    std::fill(_flags.begin() + lo, _flags.begin() + hi, 0);
+    _wantAlu.clearRange(lo, hi);
+    _wantUpgrade.clearRange(lo, hi);
 }
 
 bool
@@ -151,22 +159,22 @@ ExecNode::deliver(unsigned frame, unsigned local, unsigned operand,
     unsigned rs = at(frame, local);
     panic_if(!(_flags[rs] & kValid),
              "operand delivered to an empty RS slot");
-    panic_if(operand >= _numOps[rs], "operand %u out of range for %s",
-             operand, isa::opName(_op[rs]));
+    Slot &c = _slots[rs];
+    panic_if(operand >= c.numOps, "operand %u out of range for %s",
+             operand, isa::opName(c.op));
 
-    unsigned oi = rs * isa::kMaxOperands + operand;
-    if (wave <= _opWave[oi])
+    if (wave <= c.opWave[operand])
         return false; // stale wave: the producer has sent newer data
-    _opWave[oi] = wave;
+    c.opWave[operand] = wave;
 
     bool first = !(_seen[rs] & (1u << operand));
-    ValState prev_state = first ? ValState::Spec : _opState[oi];
-    bool value_changed = first || _opVal[oi] != value;
+    ValState prev_state = first ? ValState::Spec : c.opState[operand];
+    bool value_changed = first || c.opVal[operand] != value;
 
     panic_if(!first && prev_state == ValState::Final && value_changed,
              "protocol violation: Final operand changed value "
              "(seq %llu slot %u op %u)",
-             static_cast<unsigned long long>(_seq[rs]), _slot[rs],
+             static_cast<unsigned long long>(_seq[rs]), _slotId[rs],
              operand);
 
     // Final is sticky.
@@ -175,55 +183,60 @@ ExecNode::deliver(unsigned frame, unsigned local, unsigned operand,
         next_state = ValState::Final;
 
     _seen[rs] |= static_cast<std::uint8_t>(1u << operand);
-    _opVal[oi] = value;
-    _opState[oi] = next_state;
+    c.opVal[operand] = value;
+    c.opState[operand] = next_state;
 
-    if (_flags[rs] & kExecuted) {
-        if (value_changed) {
-            _flags[rs] |= kDirtyValue;
-            _triggerDepth[rs] = std::max<std::uint16_t>(
-                _triggerDepth[rs],
-                static_cast<std::uint16_t>(depth + 1));
-        } else if (prev_state != ValState::Final &&
-                   next_state == ValState::Final) {
-            _flags[rs] |= kDirtyState;
-            _triggerDepth[rs] = std::max<std::uint16_t>(
-                _triggerDepth[rs],
-                static_cast<std::uint16_t>(depth + 1));
-        }
+    std::uint8_t f = _flags[rs];
+    if (!(f & kExecuted)) {
+        // First execution once every operand has arrived.
+        if (_seen[rs] == _full[rs])
+            _wantAlu.set(rs);
+        return true;
     }
-    refreshWant(rs);
+    // An executed slot has seen every operand: a changed value
+    // re-fires it, a Spec -> Final upgrade re-sends its state.
+    if (value_changed) {
+        f |= kDirtyValue;
+    } else if (prev_state != ValState::Final &&
+               next_state == ValState::Final) {
+        f |= kDirtyState;
+    } else {
+        return true;
+    }
+    _flags[rs] = f;
+    c.triggerDepth = std::max<std::uint16_t>(
+        c.triggerDepth, static_cast<std::uint16_t>(depth + 1));
+    if ((f & kDirtyValue) || _p.commitWaveUsesAlu) {
+        _wantUpgrade.clear(rs);
+        _wantAlu.set(rs);
+    } else {
+        _wantUpgrade.set(rs);
+    }
     return true;
 }
 
-NodeEvent
-ExecNode::makeEvent(Cycle done, unsigned rs, Word value, ValState state,
-                    std::uint16_t depth) const
+NodeEvent &
+ExecNode::emit(Cycle done, unsigned rs, Word value, ValState state,
+               std::uint16_t depth)
 {
-    unsigned oi = rs * isa::kMaxOperands;
-    NodeEvent ev;
+    const Slot &c = _slots[rs];
+    NodeEvent &ev = _events.emplace_back();
     ev.when = done;
     ev.seq = _seq[rs];
-    ev.slot = _slot[rs];
-    ev.lsid = _lsid[rs];
     ev.value = value;
-    ev.state = state;
-    ev.wave = _sendCount[rs];
+    ev.wave = c.sendCount;
+    ev.slot = _slotId[rs];
+    ev.lsid = c.lsid;
     ev.depth = depth;
-    ev.targets = _targets[rs];
-    if (isa::isLoad(_op[rs])) {
-        ev.kind = NodeEvent::Kind::LoadRequest;
-        ev.addr = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-    } else if (isa::isStore(_op[rs])) {
-        ev.kind = NodeEvent::Kind::StoreResolve;
-        ev.addr = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-        ev.value = _opVal[oi + 1];
-        ev.addrState = _opState[oi + 0];
-        ev.state = _opState[oi + 1];
-    } else if (isa::isBranch(_op[rs])) {
-        ev.kind = NodeEvent::Kind::Exit;
-    } else {
-        ev.kind = NodeEvent::Kind::Result;
+    ev.kind = c.kind;
+    ev.state = state;
+    if (c.kind == NodeEvent::Kind::LoadRequest) {
+        ev.addr = isa::memEffAddr(c.opVal[0], c.imm);
+    } else if (c.kind == NodeEvent::Kind::StoreResolve) {
+        ev.addr = isa::memEffAddr(c.opVal[0], c.imm);
+        ev.value = c.opVal[1];
+        ev.addrState = c.opState[0];
+        ev.state = c.opState[1];
     }
     return ev;
 }
@@ -231,30 +244,33 @@ ExecNode::makeEvent(Cycle done, unsigned rs, Word value, ValState state,
 void
 ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
 {
-    unsigned oi = rs * isa::kMaxOperands;
-    Cycle done = now + _p.execLatency(_op[rs]);
-    ValState state = inputState(rs);
-    std::uint16_t depth = is_reexec ? _triggerDepth[rs] : 0;
+    Slot &c = _slots[rs];
+    Cycle done = now + c.latency;
+    std::uint16_t depth = is_reexec ? c.triggerDepth : 0;
 
     Word value = 0;
     Word addr_key = 0; ///< identity key for the squash comparison
     Word data_key = 0;
-    if (isa::isLoad(_op[rs])) {
-        addr_key = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-        state = _opState[oi + 0];
-    } else if (isa::isStore(_op[rs])) {
-        addr_key = isa::memEffAddr(_opVal[oi + 0], _imm[rs]);
-        data_key = _opVal[oi + 1];
-    } else {
-        value = isa::evalOp(_op[rs], _opVal[oi + 0], _opVal[oi + 1],
-                            _opVal[oi + 2], _imm[rs]);
+    ValState state;
+    ValState addr_state = ValState::Spec;
+    switch (c.kind) {
+      case NodeEvent::Kind::LoadRequest:
+        addr_key = isa::memEffAddr(c.opVal[0], c.imm);
+        state = addr_state = c.opState[0];
+        break;
+      case NodeEvent::Kind::StoreResolve:
+        addr_key = isa::memEffAddr(c.opVal[0], c.imm);
+        data_key = c.opVal[1];
+        addr_state = c.opState[0];
+        state = c.opState[1]; // data state travels separately
+        break;
+      default:
+        value = isa::evalOp(c.op, c.opVal[0], c.opVal[1], c.opVal[2],
+                            c.imm);
         addr_key = value;
+        state = inputState(c);
+        break;
     }
-
-    ValState addr_state =
-        isa::isMem(_op[rs]) ? _opState[oi + 0] : ValState::Spec;
-    if (isa::isStore(_op[rs]))
-        state = _opState[oi + 1]; // data state travels separately
 
     ++_stats.issues;
     if (is_reexec) {
@@ -263,43 +279,41 @@ ExecNode::execute(Cycle now, unsigned rs, bool is_reexec)
     }
 
     bool executed = _flags[rs] & kExecuted;
-    bool identical = executed && _lastValue[rs] == addr_key &&
-                     _lastData[rs] == data_key &&
-                     _lastState[rs] == state &&
-                     _lastAddrState[rs] == addr_state;
+    bool identical = executed && c.lastValue == addr_key &&
+                     c.lastData == data_key && c.lastState == state &&
+                     c.lastAddrState == addr_state;
     bool squash = identical && _p.squashIdenticalValues;
     // Deliberate protocol mutation: this node forgets to squash and
     // re-sends bit-identical waves. The invariant checker catches it
     // as `value-identity-squash`.
     if (squash && mutated(chaos::Mutation::SkipSquash))
         squash = false;
-    bool send = !squash;
     if (squash)
         ++_stats.squashes;
 
     _flags[rs] = static_cast<std::uint8_t>(
         (_flags[rs] | kExecuted) & ~(kDirtyValue | kDirtyState));
-    _triggerDepth[rs] = 0;
-    _lastValue[rs] = addr_key;
-    _lastData[rs] = data_key;
-    _lastState[rs] = state;
-    _lastAddrState[rs] = addr_state;
+    c.triggerDepth = 0;
+    c.lastValue = addr_key;
+    c.lastData = data_key;
+    c.lastState = state;
+    c.lastAddrState = addr_state;
 
-    if (send) {
-        ++_sendCount[rs];
-        done = std::max(done, _lastSendWhen[rs]);
-        _lastSendWhen[rs] = done;
-        _events.push_back(makeEvent(done, rs, value, state, depth));
+    if (!squash) {
+        ++c.sendCount;
+        done = std::max(done, c.lastSendWhen);
+        c.lastSendWhen = done;
+        emit(done, rs, value, state, depth);
     }
 }
 
 void
 ExecNode::upgrade(Cycle now, unsigned rs)
 {
-    unsigned oi = rs * isa::kMaxOperands;
+    Slot &c = _slots[rs];
     _flags[rs] &= static_cast<std::uint8_t>(~kDirtyState);
-    std::uint16_t depth = _triggerDepth[rs];
-    _triggerDepth[rs] = 0;
+    std::uint16_t depth = c.triggerDepth;
+    c.triggerDepth = 0;
 
     // Deliberate protocol mutation: this node swallows commit-wave
     // upgrades, so downstream finality never arrives and the commit
@@ -307,41 +321,39 @@ ExecNode::upgrade(Cycle now, unsigned rs)
     if (mutated(chaos::Mutation::DropUpgrade))
         return;
 
-    if (isa::isStore(_op[rs])) {
+    if (c.kind == NodeEvent::Kind::StoreResolve) {
         // Stores propagate address and data finality independently:
         // a final address alone already un-blocks younger loads'
         // commit waves (they learn the store cannot move onto them).
-        ValState as = _opState[oi + 0];
-        ValState ds = _opState[oi + 1];
-        if (as == _lastAddrState[rs] && ds == _lastState[rs])
+        ValState as = c.opState[0];
+        ValState ds = c.opState[1];
+        if (as == c.lastAddrState && ds == c.lastState)
             return;
-        _lastAddrState[rs] = as;
-        _lastState[rs] = ds;
+        c.lastAddrState = as;
+        c.lastState = ds;
         ++_stats.upgrades;
-        ++_sendCount[rs];
-        Cycle when = std::max(now + 1, _lastSendWhen[rs]);
-        _lastSendWhen[rs] = when;
-        NodeEvent ev = makeEvent(when, rs, _lastData[rs], ds, depth);
-        ev.addr = _lastValue[rs];
+        ++c.sendCount;
+        Cycle when = std::max(now + 1, c.lastSendWhen);
+        c.lastSendWhen = when;
+        NodeEvent &ev = emit(when, rs, c.lastData, ds, depth);
+        ev.addr = c.lastValue;
         ev.statusOnly = true;
-        _events.push_back(ev);
         return;
     }
 
-    ValState state =
-        isa::isLoad(_op[rs]) ? _opState[oi + 0] : inputState(rs);
-    if (state != ValState::Final || _lastState[rs] == ValState::Final)
+    bool load = c.kind == NodeEvent::Kind::LoadRequest;
+    ValState state = load ? c.opState[0] : inputState(c);
+    if (state != ValState::Final || c.lastState == ValState::Final)
         return;
-    _lastState[rs] = state;
+    c.lastState = state;
     ++_stats.upgrades;
-    ++_sendCount[rs];
-    Cycle when = std::max(now + 1, _lastSendWhen[rs]);
-    _lastSendWhen[rs] = when;
-    NodeEvent ev = makeEvent(when, rs, _lastValue[rs], state, depth);
-    if (ev.kind == NodeEvent::Kind::LoadRequest)
-        ev.addr = _lastValue[rs]; // lastValue holds the address key
+    ++c.sendCount;
+    Cycle when = std::max(now + 1, c.lastSendWhen);
+    c.lastSendWhen = when;
+    NodeEvent &ev = emit(when, rs, c.lastValue, state, depth);
+    if (load)
+        ev.addr = c.lastValue; // lastValue holds the address key
     ev.statusOnly = true;
-    _events.push_back(ev);
 }
 
 bool
@@ -353,14 +365,15 @@ ExecNode::tick(Cycle now)
     // The want-ALU bitmap holds exactly the valid, all-seen slots
     // that need a (re-)execution, so the scan touches only those.
     int best = -1;
-    for (std::size_t w = 0; w < _wantAlu.size(); ++w) {
-        std::uint64_t bits = _wantAlu[w];
+    for (std::size_t w = 0; _wantAlu.count && w < _wantAlu.words.size();
+         ++w) {
+        std::uint64_t bits = _wantAlu.words[w];
         while (bits) {
             unsigned rs = static_cast<unsigned>(w * 64) +
                           static_cast<unsigned>(__builtin_ctzll(bits));
             bits &= bits - 1;
             if (best < 0 || _seq[rs] < _seq[best] ||
-                (_seq[rs] == _seq[best] && _slot[rs] < _slot[best]))
+                (_seq[rs] == _seq[best] && _slotId[rs] < _slotId[best]))
                 best = static_cast<int>(rs);
         }
     }
@@ -373,40 +386,30 @@ ExecNode::tick(Cycle now)
         } else {
             execute(now, rs, is_reexec);
         }
-        refreshWant(rs);
+        // Either way the slot is clean again and wants nothing.
+        _wantAlu.clear(rs);
         did = true;
     }
 
     if (!_p.commitWaveUsesAlu) {
         unsigned budget = _p.commitPortsPerNode;
-        for (std::size_t w = 0; w < _wantUpgrade.size() && budget;
+        for (std::size_t w = 0;
+             _wantUpgrade.count && budget && w < _wantUpgrade.words.size();
              ++w) {
-            std::uint64_t bits = _wantUpgrade[w];
+            std::uint64_t bits = _wantUpgrade.words[w];
             while (bits && budget) {
                 unsigned rs =
                     static_cast<unsigned>(w * 64) +
                     static_cast<unsigned>(__builtin_ctzll(bits));
                 bits &= bits - 1;
                 upgrade(now, rs);
-                refreshWant(rs);
+                _wantUpgrade.clear(rs);
                 --budget;
                 did = true;
             }
         }
     }
     return did;
-}
-
-bool
-ExecNode::hasWork() const
-{
-    for (std::uint64_t w : _wantAlu)
-        if (w)
-            return true;
-    for (std::uint64_t w : _wantUpgrade)
-        if (w)
-            return true;
-    return false;
 }
 
 unsigned
@@ -426,12 +429,12 @@ ExecNode::debugState() const
         if (!(_flags[rs] & kValid) || (_flags[rs] & kExecuted))
             continue;
         std::string missing;
-        for (unsigned k = 0; k < _numOps[rs]; ++k)
+        for (unsigned k = 0; k < _slots[rs].numOps; ++k)
             if (!(_seen[rs] & (1u << k)))
                 missing += strfmt(" op%u", k);
         out += strfmt("  seq %llu slot %u %s waiting:%s\n",
                       static_cast<unsigned long long>(_seq[rs]),
-                      _slot[rs], isa::opName(_op[rs]),
+                      _slotId[rs], isa::opName(_slots[rs].op),
                       missing.empty() ? " (ready)" : missing.c_str());
     }
     return out;

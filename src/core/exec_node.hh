@@ -14,12 +14,19 @@
  *  - wave numbers are per producer-link monotonic: stale (lower
  *    wave) messages are ignored, Final is sticky.
  *
- * Reservation-station state is stored structure-of-arrays: the issue
- * scan walks two per-slot want-bitmaps (want-ALU, want-upgrade) kept
- * incrementally up to date by deliver/map/issue, so an idle node
- * answers hasWork() from a couple of words and a busy node's tick
- * touches only the slots that can actually issue — instead of
- * striding over ~100-byte cold slot objects every cycle.
+ * Reservation-station state is split by heat. The issue scan reads
+ * dense per-slot arrays (flags, seen masks, block seq and slot id for
+ * age order) and two want-bitmaps (want-ALU, want-upgrade); all other
+ * state, including the op decoded once at map (event kind and
+ * latency), sits in one Slot record per reservation station. Want
+ * bits are set and cleared where a slot's readiness changes (map,
+ * operand delivery, issue, frame clear), and a count of set bits
+ * makes hasWork() O(1). mapInst writes only the static fields and
+ * the state read before it is next written (flags, seen mask,
+ * operand waves, send count, last-send cycle, trigger depth).
+ * Emitted events are built in place in the outbox and carry no
+ * target list: the processor reads the producer's targets from the
+ * static block by slot.
  */
 
 #ifndef EDGE_CORE_EXEC_NODE_HH
@@ -46,19 +53,18 @@ struct NodeEvent
         Exit,         ///< branch outcome to the control unit
     };
 
-    Kind kind = Kind::Result;
     Cycle when = 0; ///< completion time (message leaves the node)
     DynBlockSeq seq = 0;
-    SlotId slot = 0;
-    Lsid lsid = 0;
     Word value = 0; ///< result / store data / exit index
     Addr addr = 0;  ///< loads and stores
+    std::uint32_t wave = 0; ///< per-producer monotonic send count
+    SlotId slot = 0;
+    Lsid lsid = 0;
+    std::uint16_t depth = 0;
+    Kind kind = Kind::Result;
     ValState state = ValState::Spec;    ///< result / store *data* state
     ValState addrState = ValState::Spec; ///< store *address* state
-    std::uint32_t wave = 0; ///< per-producer monotonic send count
-    std::uint16_t depth = 0;
     bool statusOnly = false; ///< commit-wave upgrade (no new value)
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
 
 /** Aggregated (across nodes) execution statistics. */
@@ -115,9 +121,9 @@ class ExecNode
      * True if tick(now) would issue anything — i.e. some slot wants
      * the ALU or a commit-port upgrade. The event-driven engine skips
      * the node (and lets the cycle loop skip whole cycles) when every
-     * node answers false. O(words of the want-bitmaps).
+     * node answers false. O(1): the want-bitmaps count their bits.
      */
-    bool hasWork() const;
+    bool hasWork() const { return _wantAlu.count || _wantUpgrade.count; }
 
     /** Number of occupied slots (tests / deadlock dumps). */
     unsigned occupancy() const;
@@ -132,13 +138,52 @@ class ExecNode
     static constexpr std::uint8_t kDirtyValue = 1u << 2;
     static constexpr std::uint8_t kDirtyState = 1u << 3;
 
+    /**
+     * A reservation station's cold state. mapInst writes the static
+     * fields and resets opWave, sendCount, lastSendWhen and
+     * triggerDepth; every other field is written (by the first
+     * delivery or execution) before it is read. What deliver() reads
+     * comes first.
+     */
+    struct Slot
+    {
+        std::array<Word, isa::kMaxOperands> opVal{};
+        std::array<std::uint32_t, isa::kMaxOperands> opWave{};
+        std::array<ValState, isa::kMaxOperands> opState{};
+        std::uint8_t numOps = 0;
+        std::uint16_t triggerDepth = 0;
+        isa::Opcode op = isa::Opcode::MOVI;
+        NodeEvent::Kind kind = NodeEvent::Kind::Result;
+        Lsid lsid = 0;
+        std::uint32_t latency = 0; ///< CoreParams::execLatency(op)
+        std::int64_t imm = 0;
+
+        std::uint32_t sendCount = 0; ///< outgoing wave counter
+        ValState lastState = ValState::Spec;
+        ValState lastAddrState = ValState::Spec; ///< stores only
+        Cycle lastSendWhen = 0; ///< upgrades don't overtake data
+        Word lastValue = 0;     ///< last sent value (loads: address)
+        Word lastData = 0;      ///< stores: last sent data
+    };
+
+    /**
+     * A wake bitmap over the node's slots, with a count of its set
+     * bits.
+     */
+    struct WantSet
+    {
+        std::vector<std::uint64_t> words;
+        unsigned count = 0;
+
+        void set(unsigned rs);
+        void clear(unsigned rs);
+        /** Clear the bits of slots [lo, hi). */
+        void clearRange(unsigned lo, unsigned hi);
+    };
+
     unsigned at(unsigned frame, unsigned local) const;
 
-    bool allSeen(unsigned rs) const { return _seen[rs] == _full[rs]; }
-    ValState inputState(unsigned rs) const;
-
-    /** Re-derive the two want bits of slot `rs` from its flags. */
-    void refreshWant(unsigned rs);
+    ValState inputState(const Slot &c) const;
 
     /** Is the given protocol mutation active on this node? */
     bool mutated(chaos::Mutation m) const;
@@ -149,9 +194,9 @@ class ExecNode
     /** Send the commit-wave upgrade for a slot (no ALU). */
     void upgrade(Cycle now, unsigned rs);
 
-    /** Build the outgoing event for a slot's current operands. */
-    NodeEvent makeEvent(Cycle done, unsigned rs, Word value,
-                        ValState state, std::uint16_t depth) const;
+    /** Append the outgoing event for a slot's current operands. */
+    NodeEvent &emit(Cycle done, unsigned rs, Word value, ValState state,
+                    std::uint16_t depth);
 
     const CoreParams &_p;
     NodeStats _stats;
@@ -159,38 +204,26 @@ class ExecNode
     chaos::ChaosEngine *_chaos;
     unsigned _nodeIndex;
     unsigned _numSlots; ///< slotsPerNode * numFrames
+    /** execLatency per opcode, so mapInst decodes with one load. */
+    std::array<std::uint32_t,
+               static_cast<std::size_t>(isa::Opcode::NUM_OPCODES)>
+        _latency{};
 
-    // Structure-of-arrays reservation-station state, indexed by
-    // rs = frame * slotsPerNode + local. The scan-hot fields (flags,
-    // seen masks, seq for age ordering) are dense byte/word arrays;
-    // operand values are flattened [rs * kMaxOperands + k].
+    // Reservation-station state, indexed by
+    // rs = frame * slotsPerNode + local. The scan-hot fields are dense
+    // arrays; everything else is in _slots.
     std::vector<std::uint8_t> _flags;
     std::vector<std::uint8_t> _seen; ///< operand-seen bitmask
     std::vector<std::uint8_t> _full; ///< (1 << numOps) - 1
-    std::vector<std::uint8_t> _numOps;
     std::vector<DynBlockSeq> _seq;
-    std::vector<SlotId> _slot;
-    std::vector<isa::Opcode> _op;
-    std::vector<std::int64_t> _imm;
-    std::vector<Lsid> _lsid;
-    std::vector<std::array<isa::Target, isa::kMaxTargets>> _targets;
-
-    std::vector<Word> _opVal;
-    std::vector<ValState> _opState;
-    std::vector<std::uint32_t> _opWave;
-
-    std::vector<Word> _lastValue; ///< last sent value (loads: address)
-    std::vector<Word> _lastData;  ///< stores: last sent data
-    std::vector<ValState> _lastState;
-    std::vector<ValState> _lastAddrState; ///< stores only
-    std::vector<std::uint32_t> _sendCount; ///< outgoing wave counter
-    std::vector<Cycle> _lastSendWhen; ///< upgrades don't overtake data
-    std::vector<std::uint16_t> _triggerDepth;
+    std::vector<SlotId> _slotId;
+    std::vector<Slot> _slots;
 
     // Wake bitmaps: bit rs set iff the slot is valid, all operands
-    // seen, and it wants an ALU issue / a commit-port upgrade.
-    std::vector<std::uint64_t> _wantAlu;
-    std::vector<std::uint64_t> _wantUpgrade;
+    // seen, and it wants an ALU issue / a commit-port upgrade. A slot
+    // never has both bits set.
+    WantSet _wantAlu;
+    WantSet _wantUpgrade;
 };
 
 } // namespace edge::core

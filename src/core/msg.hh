@@ -4,15 +4,18 @@
  * machine — operands between instructions, register writes, load
  * requests and replies, store resolutions, block exits — is one of
  * these, tagged with the DSRE protocol fields (state, wave, depth).
+ *
+ * A message names one destination and carries no target list: the
+ * sender resolves a producer's targets from the static block and its
+ * placement (a load reply from the load's slot, a register forward
+ * from the reader's read index), so a message is small and is filled
+ * straight into the mesh's queue storage.
  */
 
 #ifndef EDGE_CORE_MSG_HH
 #define EDGE_CORE_MSG_HH
 
-#include <array>
-
 #include "common/types.hh"
-#include "isa/instruction.hh"
 
 namespace edge::core {
 
@@ -27,18 +30,18 @@ struct Msg
         ExitVal,      ///< branch outcome to the control unit
     };
 
-    Kind kind = Kind::Operand;
     DynBlockSeq seq = 0;  ///< dynamic block the message belongs to
-    SlotId slot = 0;      ///< consumer slot (Operand) / memop slot
-    std::uint8_t operand = 0;
-    std::uint16_t writeIdx = 0;
-    Lsid lsid = 0;
     Word value = 0;       ///< operand value / store data / exit index
     Addr addr = 0;        ///< memory ops only
+    std::uint32_t wave = 0;
+    SlotId slot = 0;      ///< consumer slot (Operand) / memop slot
+    std::uint16_t writeIdx = 0;
+    Lsid lsid = 0;
+    std::uint16_t depth = 0;
+    Kind kind = Kind::Operand;
+    std::uint8_t operand = 0;
     ValState state = ValState::Spec;
     ValState addrState = ValState::Spec; ///< store address state
-    std::uint32_t wave = 0;
-    std::uint16_t depth = 0;
     /** Commit-wave (state-only) message: rides the status
      *  network, the analogue of TRIPS's global control network. */
     bool statusOnly = false;
@@ -46,8 +49,6 @@ struct Msg
      *  prediction confirmation); exempt from the
      *  value-identity-squash invariant. */
     bool echo = false;
-    /** Load replies are sent straight to these consumers. */
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
 
 } // namespace edge::core

@@ -17,6 +17,7 @@ Processor::Processor(const MachineConfig &config,
       _prog(program),
       _oracle(oracle),
       _stats(stats),
+      _geom{config.core.rows, config.core.cols, config.core.slotsPerNode},
       _trace(config.traceDepth),
       _livelock(config.core.livelockInterval,
                 config.core.livelockRepeats),
@@ -40,14 +41,12 @@ Processor::Processor(const MachineConfig &config,
     fatal_if(_cfg.policy == pred::DepPolicy::Oracle && !oracle,
              "the oracle policy needs an OracleDb");
 
-    compiler::GridGeom geom{_cfg.core.rows, _cfg.core.cols,
-                            _cfg.core.slotsPerNode};
     if (image) {
         // The shared image already validated the program and caches
         // placements per geometry; skip the per-Processor work.
         fatal_if(&image->program() != &program,
                  "program image does not wrap this program");
-        _placements = &image->placements(geom);
+        _placements = &image->placements(_geom);
     } else {
         std::string why;
         fatal_if(!program.validate(&why), "invalid program: %s",
@@ -57,15 +56,13 @@ Processor::Processor(const MachineConfig &config,
             _ownPlacements.push_back(
                 compiler::placeBlock(program.block(
                                          static_cast<BlockId>(b)),
-                                     geom));
+                                     _geom));
         }
         _placements = &_ownPlacements;
     }
 
-    _localIdxPool = _arena.allocArray<std::uint16_t>(
-        static_cast<std::size_t>(_cfg.core.numFrames) *
-        isa::kMaxBlockInsts);
-    _nodeFill.resize(_cfg.core.numNodes(), 0);
+    for (unsigned n = 0; n < _cfg.core.numNodes(); ++n)
+        _nodePos.push_back(toCoord(_geom.nodePos(n)));
 
     for (const auto &init : program.memImage())
         _dmem.writeBytes(init.base, init.bytes.data(), init.bytes.size());
@@ -113,10 +110,9 @@ Processor::Processor(const MachineConfig &config,
         stats.histogram("core.wave_depth",
                         "propagation depth of re-executions"),
     };
-    for (unsigned n = 0; n < _cfg.core.numNodes(); ++n) {
-        _nodes.push_back(
-            std::make_unique<ExecNode>(_cfg.core, ns, _chaos.get(), n));
-    }
+    _nodes.reserve(_cfg.core.numNodes());
+    for (unsigned n = 0; n < _cfg.core.numNodes(); ++n)
+        _nodes.emplace_back(_cfg.core, ns, _chaos.get(), n);
 
     for (unsigned f = 0; f < _cfg.core.numFrames; ++f)
         _freeFrames.push_back(_cfg.core.numFrames - 1 - f);
@@ -127,19 +123,6 @@ const std::vector<Word> &
 Processor::archRegs() const
 {
     return _regs->archRegs();
-}
-
-net::Coord
-Processor::gridCoord(unsigned node) const
-{
-    return {static_cast<std::uint16_t>(node / _cfg.core.cols + 1),
-            static_cast<std::uint16_t>(node % _cfg.core.cols + 1)};
-}
-
-net::Coord
-Processor::rfCoord(unsigned reg) const
-{
-    return {0, static_cast<std::uint16_t>(reg % _cfg.core.cols + 1)};
 }
 
 net::Coord
@@ -179,48 +162,42 @@ Processor::retireCtx(const BlockCtx &ctx)
         slot = nullptr;
 }
 
-void
-Processor::meshSend(Cycle when, net::Coord src, net::Coord dst,
-                    const Msg &msg)
+const Processor::BlockCtx &
+Processor::senderCtx(DynBlockSeq seq)
 {
-    if (msg.statusOnly)
-        _gcn->send(when, src, dst, msg);
-    else
-        _mesh->send(when, src, dst, msg);
+    const BlockCtx *ctx = findCtx(seq);
+    panic_if(!ctx, "a unit sent for a flushed block");
+    return *ctx;
 }
 
 void
 Processor::sendToTargets(
-    Cycle when, net::Coord src, DynBlockSeq seq,
-    const std::array<isa::Target, isa::kMaxTargets> &targets, Word value,
-    ValState state, std::uint32_t wave, std::uint16_t depth,
-    bool status_only, bool echo)
+    Cycle when, net::Coord src, const BlockCtx &ctx,
+    const std::array<isa::Target, isa::kMaxTargets> &targets,
+    const compiler::Placement::Dests &dests, Word value, ValState state,
+    std::uint32_t wave, std::uint16_t depth, bool status_only, bool echo)
 {
-    BlockCtx *ctx = findCtx(seq);
-    panic_if(!ctx, "sendToTargets for a flushed block");
-    for (const isa::Target &t : targets) {
+    for (unsigned k = 0; k < isa::kMaxTargets; ++k) {
+        const isa::Target &t = targets[k];
         if (!t.valid())
             continue;
-        Msg m;
-        m.seq = seq;
-        m.value = value;
-        m.state = state;
-        m.wave = wave;
-        m.depth = depth;
-        m.statusOnly = status_only;
-        m.echo = echo;
-        if (t.kind == isa::TargetKind::Operand) {
-            m.kind = Msg::Kind::Operand;
-            m.slot = t.index;
-            m.operand = t.operand;
-            unsigned node = ctx->placement->nodeOf[t.index];
-            meshSend(when, src, gridCoord(node), m);
-        } else {
-            m.kind = Msg::Kind::WriteVal;
-            m.writeIdx = t.index;
-            unsigned reg = ctx->block->writes()[t.index].reg;
-            meshSend(when, src, rfCoord(reg), m);
-        }
+        meshSend(when, src, toCoord(dests[k]), status_only, [&](Msg &m) {
+            m.seq = ctx.seq;
+            m.value = value;
+            m.wave = wave;
+            m.depth = depth;
+            m.state = state;
+            m.statusOnly = status_only;
+            m.echo = echo;
+            if (t.kind == isa::TargetKind::Operand) {
+                m.kind = Msg::Kind::Operand;
+                m.slot = t.index;
+                m.operand = t.operand;
+            } else {
+                m.kind = Msg::Kind::WriteVal;
+                m.writeIdx = t.index;
+            }
+        });
     }
 }
 
@@ -229,62 +206,63 @@ Processor::routeNodeEvent(const NodeEvent &ev, unsigned node)
 {
     net::Coord src = gridCoord(node);
     switch (ev.kind) {
-      case NodeEvent::Kind::Result:
-        sendToTargets(ev.when, src, ev.seq, ev.targets, ev.value,
-                      ev.state, ev.wave, ev.depth, ev.statusOnly,
-                      false);
-        return;
-      case NodeEvent::Kind::LoadRequest: {
-        Msg m;
-        m.kind = Msg::Kind::LoadReq;
-        m.seq = ev.seq;
-        m.slot = ev.slot;
-        m.lsid = ev.lsid;
-        m.addr = ev.addr;
-        m.state = ev.state;
-        m.wave = ev.wave;
-        m.depth = ev.depth;
-        m.statusOnly = ev.statusOnly;
-        m.targets = ev.targets;
-        meshSend(ev.when, src, lsqCoord(ev.addr), m);
+      case NodeEvent::Kind::Result: {
+        const BlockCtx &ctx = senderCtx(ev.seq);
+        sendToTargets(ev.when, src, ctx,
+                      ctx.block->insts()[ev.slot].targets,
+                      ctx.placement->instDest[ev.slot], ev.value,
+                      ev.state, ev.wave, ev.depth, ev.statusOnly, false);
         return;
       }
-      case NodeEvent::Kind::StoreResolve: {
-        Msg m;
-        m.kind = Msg::Kind::StoreResolve;
-        m.seq = ev.seq;
-        m.slot = ev.slot;
-        m.lsid = ev.lsid;
-        m.addr = ev.addr;
-        m.value = ev.value;
-        m.state = ev.state;
-        m.addrState = ev.addrState;
-        m.wave = ev.wave;
-        m.depth = ev.depth;
-        m.statusOnly = ev.statusOnly;
-        meshSend(ev.when, src, lsqCoord(ev.addr), m);
+      case NodeEvent::Kind::LoadRequest:
+        meshSend(ev.when, src, lsqCoord(ev.addr), ev.statusOnly,
+                 [&](Msg &m) {
+                     m.kind = Msg::Kind::LoadReq;
+                     m.seq = ev.seq;
+                     m.slot = ev.slot;
+                     m.lsid = ev.lsid;
+                     m.addr = ev.addr;
+                     m.state = ev.state;
+                     m.wave = ev.wave;
+                     m.depth = ev.depth;
+                     m.statusOnly = ev.statusOnly;
+                 });
         return;
-      }
-      case NodeEvent::Kind::Exit: {
-        Msg m;
-        m.kind = Msg::Kind::ExitVal;
-        m.seq = ev.seq;
-        m.value = ev.value;
-        m.state = ev.state;
-        m.wave = ev.wave;
-        m.depth = ev.depth;
-        m.statusOnly = ev.statusOnly;
-        meshSend(ev.when, src, ctrlCoord(), m);
+      case NodeEvent::Kind::StoreResolve:
+        meshSend(ev.when, src, lsqCoord(ev.addr), ev.statusOnly,
+                 [&](Msg &m) {
+                     m.kind = Msg::Kind::StoreResolve;
+                     m.seq = ev.seq;
+                     m.slot = ev.slot;
+                     m.lsid = ev.lsid;
+                     m.addr = ev.addr;
+                     m.value = ev.value;
+                     m.state = ev.state;
+                     m.addrState = ev.addrState;
+                     m.wave = ev.wave;
+                     m.depth = ev.depth;
+                     m.statusOnly = ev.statusOnly;
+                 });
         return;
-      }
+      case NodeEvent::Kind::Exit:
+        meshSend(ev.when, src, ctrlCoord(), ev.statusOnly, [&](Msg &m) {
+            m.kind = Msg::Kind::ExitVal;
+            m.seq = ev.seq;
+            m.value = ev.value;
+            m.state = ev.state;
+            m.wave = ev.wave;
+            m.depth = ev.depth;
+            m.statusOnly = ev.statusOnly;
+        });
+        return;
     }
 }
 
 bool
 Processor::tickNode(unsigned node)
 {
-    bool issued = _nodes[node]->tick(_cycle);
-    std::vector<NodeEvent> &events = _nodes[node]->events();
+    bool issued = _nodes[node].tick(_cycle);
+    std::vector<NodeEvent> &events = _nodes[node].events();
     for (const NodeEvent &ev : events)
         routeNodeEvent(ev, node);
     events.clear();
@@ -295,9 +273,11 @@ void
 Processor::drainLsq()
 {
     for (const lsq::LoadReply &r : _lsq->replies()) {
-        sendToTargets(r.when, lsqCoord(r.addr), r.seq, r.targets,
-                      r.value, r.state, r.wave, r.depth, r.statusOnly,
-                      r.echo);
+        const BlockCtx &ctx = senderCtx(r.seq);
+        sendToTargets(r.when, lsqCoord(r.addr), ctx,
+                      ctx.block->insts()[r.slot].targets,
+                      ctx.placement->instDest[r.slot], r.value, r.state,
+                      r.wave, r.depth, r.statusOnly, r.echo);
     }
     _lsq->replies().clear();
     for (const lsq::Violation &v : _lsq->flushRequests())
@@ -309,9 +289,11 @@ void
 Processor::drainRegs()
 {
     for (const RegForward &f : _regs->forwards()) {
-        sendToTargets(f.when, rfCoord(f.reg), f.readerSeq, f.targets,
-                      f.value, f.state, f.wave, f.depth, f.statusOnly,
-                      false);
+        const BlockCtx &ctx = senderCtx(f.readerSeq);
+        sendToTargets(f.when, rfCoord(f.reg), ctx,
+                      ctx.block->reads()[f.readIdx].targets,
+                      ctx.placement->readDest[f.readIdx], f.value,
+                      f.state, f.wave, f.depth, f.statusOnly, false);
     }
     _regs->forwards().clear();
 }
@@ -364,9 +346,9 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         if (!ctx)
             return; // flushed
         unsigned node = ctx->placement->nodeOf[msg.slot];
-        _nodes[node]->deliver(ctx->frame, ctx->localIdx[msg.slot],
-                              msg.operand, msg.value, msg.state,
-                              msg.wave, msg.depth);
+        _nodes[node].deliver(ctx->frame, ctx->placement->localOf[msg.slot],
+                             msg.operand, msg.value, msg.state,
+                             msg.wave, msg.depth);
         _readyNodes |= std::uint64_t{1} << node;
         return;
       }
@@ -377,7 +359,7 @@ Processor::deliverMsg(Cycle now, const Msg &msg)
         return;
       case Msg::Kind::LoadReq:
         _lsq->loadRequest(now, msg.seq, msg.lsid, msg.addr, msg.state,
-                          msg.wave, msg.depth, msg.targets, msg.slot);
+                          msg.wave, msg.depth);
         drainLsq();
         return;
       case Msg::Kind::StoreResolve:
@@ -475,8 +457,8 @@ Processor::flushFrom(DynBlockSeq from_seq, bool lsq_flushed)
 void
 Processor::clearFrame(const BlockCtx &ctx)
 {
-    for (std::uint64_t m = ctx.nodes; m; m &= m - 1)
-        _nodes[std::countr_zero(m)]->clearFrame(ctx.frame);
+    for (std::uint64_t m = ctx.placement->nodeMask; m; m &= m - 1)
+        _nodes[std::countr_zero(m)].clearFrame(ctx.frame);
 }
 
 void
@@ -530,28 +512,16 @@ Processor::mapFetchedBlock(Cycle now)
     ctx.archIdx = _nextArchIdx++;
     ctx.frame = frame;
     ctx.block = &b;
-    ctx.placement = &(*_placements)[bid];
-    // The frame's fixed region of the arena pool: frames recycle out
-    // of order (flush vs. commit), so the pool is keyed by frame, not
-    // carved per block.
-    ctx.localIdx =
-        _localIdxPool +
-        static_cast<std::size_t>(frame) * isa::kMaxBlockInsts;
-
-    std::fill(_nodeFill.begin(), _nodeFill.end(), 0);
+    const compiler::Placement &pl = (*_placements)[bid];
+    ctx.placement = &pl;
     for (std::size_t s = 0; s < b.insts().size(); ++s) {
-        unsigned node = ctx.placement->nodeOf[s];
-        std::uint16_t local = _nodeFill[node]++;
-        panic_if(local >= _cfg.core.slotsPerNode,
-                 "placement overflows node %u", node);
-        ctx.localIdx[s] = local;
-        ctx.nodes |= std::uint64_t{1} << node;
-        _nodes[node]->mapInst(frame, local, ctx.seq,
-                              static_cast<SlotId>(s), b.insts()[s]);
+        _nodes[pl.nodeOf[s]].mapInst(frame, pl.localOf[s], ctx.seq,
+                                     static_cast<SlotId>(s),
+                                     b.insts()[s]);
     }
     // Conservative: a mapped node may have a zero-operand slot ready
     // now; runEvent clears the bit again once it finds no work.
-    _readyNodes |= ctx.nodes;
+    _readyNodes |= pl.nodeMask;
 
     unsigned e = std::min<unsigned>(
         _nbp->predict(bid),
@@ -667,7 +637,7 @@ Processor::machineDump(Cycle now)
     dump += strfmt("lsq non-final entries:\n%s",
                    _lsq->debugState().c_str());
     for (unsigned n = 0; n < _nodes.size(); ++n) {
-        std::string s = _nodes[n]->debugState();
+        std::string s = _nodes[n].debugState();
         if (!s.empty())
             dump += strfmt("node %u:\n%s", n, s.c_str());
     }
@@ -796,12 +766,12 @@ Processor::runEvent(Cycle max_cycles, Result &res)
         // Only nodes in the ready mask can have work; walking it low
         // bit first keeps the node order of a full scan. Ticking a
         // node only sends mesh messages, so it cannot give another
-        // node work within this loop.
+        // node work within this loop. A node without work ticks as a
+        // no-op.
         for (std::uint64_t m = _readyNodes; m; m &= m - 1) {
             unsigned n = static_cast<unsigned>(std::countr_zero(m));
-            if (_nodes[n]->hasWork())
-                active |= tickNode(n);
-            if (!_nodes[n]->hasWork())
+            active |= tickNode(n);
+            if (!_nodes[n].hasWork())
                 _readyNodes &= ~(std::uint64_t{1} << n);
         }
         if (fetchTick(_cycle))

@@ -21,7 +21,6 @@
 #include "chaos/progress.hh"
 #include "chaos/sim_error.hh"
 #include "chaos/trace_ring.hh"
-#include "common/arena.hh"
 #include "compiler/placement.hh"
 #include "core/exec_node.hh"
 #include "core/msg.hh"
@@ -158,15 +157,9 @@ class Processor
         std::uint64_t archIdx = 0;
         unsigned frame = 0;
         const isa::Block *block = nullptr;
+        /** Shared, static: each slot's node and RS index, the node
+         *  mask and every target's mesh position. */
         const compiler::Placement *placement = nullptr;
-        /**
-         * Per-slot node-local RS index. Points into the processor's
-         * arena-backed per-frame pool (kMaxBlockInsts entries per
-         * frame), valid while this block owns its frame.
-         */
-        std::uint16_t *localIdx = nullptr;
-        /** Bit n set iff the block maps a slot onto grid node n. */
-        std::uint64_t nodes = 0;
 
         unsigned predictedExit = 0; ///< original prediction (stats)
         unsigned fetchedExit = 0;   ///< exit the fetch chain follows
@@ -179,8 +172,16 @@ class Processor
     };
 
     // --- geometry helpers -------------------------------------------------
-    net::Coord gridCoord(unsigned node) const;
-    net::Coord rfCoord(unsigned reg) const;
+    static net::Coord
+    toCoord(compiler::MeshPos pos)
+    {
+        return {pos.row, pos.col};
+    }
+    net::Coord gridCoord(unsigned node) const { return _nodePos[node]; }
+    net::Coord rfCoord(unsigned reg) const
+    {
+        return toCoord(_geom.regPos(reg));
+    }
     net::Coord lsqCoord(Addr addr) const;
     net::Coord ctrlCoord() const { return {0, 0}; }
     Addr codeAddr(BlockId block) const;
@@ -199,16 +200,33 @@ class Processor
     void drainLsq();
     /** Route the register unit's forwards in emission order. */
     void drainRegs();
-    void sendToTargets(Cycle when, net::Coord src, DynBlockSeq seq,
+    /** The in-flight block `seq` a unit is sending for (panics if
+     *  it was flushed: units drop a flushed block's work first). */
+    const BlockCtx &senderCtx(DynBlockSeq seq);
+    /**
+     * Send a value from `src` to a producer's targets: those of an
+     * instruction or register read of `ctx`'s block, with their mesh
+     * positions from its placement.
+     */
+    void sendToTargets(Cycle when, net::Coord src, const BlockCtx &ctx,
                        const std::array<isa::Target, isa::kMaxTargets>
                            &targets,
+                       const compiler::Placement::Dests &dests,
                        Word value, ValState state, std::uint32_t wave,
                        std::uint16_t depth, bool status_only,
                        bool echo);
 
-    /** Pick the operand or status mesh and send. */
-    void meshSend(Cycle when, net::Coord src, net::Coord dst,
-                  const Msg &msg);
+    /**
+     * Send on the status mesh when `status_only`, else on the operand
+     * mesh; `fill(Msg &)` writes the message in its queue slot.
+     */
+    template <typename Fill>
+    void
+    meshSend(Cycle when, net::Coord src, net::Coord dst,
+             bool status_only, Fill &&fill)
+    {
+        (status_only ? *_gcn : *_mesh).emplace(when, src, dst, fill);
+    }
     void onViolation(const lsq::Violation &violation);
 
     /** @return true iff fetch did anything (started or mapped). */
@@ -260,6 +278,8 @@ class Processor
     const isa::Program &_prog;
     const pred::OracleDb *_oracle;
     StatSet &_stats;
+    compiler::GridGeom _geom;
+    std::vector<net::Coord> _nodePos; ///< mesh position per grid node
 
     /** Per static block; points at the shared image's cache when a
      *  ProgramImage was supplied, else at _ownPlacements. */
@@ -277,7 +297,7 @@ class Processor
     std::unique_ptr<pred::NextBlockPredictor> _nbp;
     std::unique_ptr<RegUnit> _regs;
     std::unique_ptr<lsq::LoadStoreQueue> _lsq;
-    std::vector<std::unique_ptr<ExecNode>> _nodes;
+    std::vector<ExecNode> _nodes;
     /**
      * Bit n set whenever node n may have work: set when an operand is
      * delivered to it or a block maps a slot onto it, cleared by
@@ -287,12 +307,6 @@ class Processor
     std::uint64_t _readyNodes = 0;
 
     // --- dynamic state -----------------------------------------------------
-    /** Backs the per-frame localIdx pools (see BlockCtx::localIdx). */
-    Arena _arena;
-    /** numFrames x kMaxBlockInsts, carved from _arena once. */
-    std::uint16_t *_localIdxPool = nullptr;
-    /** Per-node fill scratch reused by every mapFetchedBlock. */
-    std::vector<std::uint16_t> _nodeFill;
     std::deque<BlockCtx> _inflight; ///< oldest first
     static constexpr std::size_t kCtxIndex = 256;
     /**

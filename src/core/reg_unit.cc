@@ -52,7 +52,7 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
     f.state = state;
     f.wave = ++sub.wave;
     f.depth = depth;
-    f.targets = sub.targets;
+    f.readIdx = sub.readIdx;
 }
 
 void
@@ -62,7 +62,8 @@ RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
 
     // Resolve the reads *before* inserting our own writes so a block
     // never forwards from itself.
-    for (const isa::RegRead &rd : block.reads()) {
+    for (std::size_t r = 0; r < block.reads().size(); ++r) {
+        const isa::RegRead &rd = block.reads()[r];
         // Youngest older in-flight writer of this register.
         BlockRegs *writer = nullptr;
         std::size_t write_idx = 0;
@@ -80,7 +81,7 @@ RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
         Subscription sub;
         sub.readerSeq = seq;
         sub.reg = rd.reg;
-        sub.targets = rd.targets;
+        sub.readIdx = static_cast<std::uint8_t>(r);
         if (!writer) {
             // Architectural value: Final by definition.
             ++_archReads;

@@ -21,18 +21,21 @@
 
 namespace edge::core {
 
-/** A register value being forwarded to one reader's targets. */
+/**
+ * A register value being forwarded to one reader's targets: those of
+ * read `readIdx` of block `readerSeq`.
+ */
 struct RegForward
 {
     Cycle when = 0;
     DynBlockSeq readerSeq = 0;
-    std::uint8_t reg = 0; ///< for bank routing
     Word value = 0;
-    ValState state = ValState::Spec;
     std::uint32_t wave = 0; ///< per reader-read link, monotonic
     std::uint16_t depth = 0;
+    std::uint8_t reg = 0; ///< for bank routing
+    std::uint8_t readIdx = 0;
+    ValState state = ValState::Spec;
     bool statusOnly = false; ///< commit-wave upgrade (same value)
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
 
 class RegUnit
@@ -87,7 +90,7 @@ class RegUnit
     {
         DynBlockSeq readerSeq = 0;
         std::uint8_t reg = 0;
-        std::array<isa::Target, isa::kMaxTargets> targets{};
+        std::uint8_t readIdx = 0; ///< the reader's read slot
         std::uint32_t wave = 0; ///< forwards sent on this link
         Cycle lastWhen = 0;     ///< upgrades may not overtake data
     };

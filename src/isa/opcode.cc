@@ -7,7 +7,7 @@
 
 namespace edge::isa {
 
-namespace {
+namespace detail {
 
 constexpr OpInfo kOpTable[] = {
     // name    ops imm  fu               bytes load  store branch
@@ -76,6 +76,10 @@ static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) ==
                   static_cast<std::size_t>(Opcode::NUM_OPCODES),
               "opcode table out of sync with Opcode enum");
 
+} // namespace detail
+
+namespace {
+
 /** Saturating signed division (never UB, even speculatively). */
 SWord
 safeDivS(SWord a, SWord b)
@@ -94,21 +98,12 @@ opcodeByName(const char *name, Opcode *out)
 {
     for (std::size_t i = 0;
          i < static_cast<std::size_t>(Opcode::NUM_OPCODES); ++i) {
-        if (std::strcmp(kOpTable[i].name, name) == 0) {
+        if (std::strcmp(detail::kOpTable[i].name, name) == 0) {
             *out = static_cast<Opcode>(i);
             return true;
         }
     }
     return false;
-}
-
-const OpInfo &
-opInfo(Opcode op)
-{
-    auto idx = static_cast<std::size_t>(op);
-    panic_if(idx >= static_cast<std::size_t>(Opcode::NUM_OPCODES),
-             "bad opcode %zu", idx);
-    return kOpTable[idx];
 }
 
 Word

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace edge::isa {
@@ -81,8 +82,20 @@ struct OpInfo
     bool isBranch;
 };
 
-/** Static properties lookup. */
-const OpInfo &opInfo(Opcode op);
+namespace detail {
+/** Indexed by Opcode; defined with the semantics in opcode.cc. */
+extern const OpInfo kOpTable[];
+} // namespace detail
+
+/** Static properties lookup (inline: the core asks per issue). */
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    auto idx = static_cast<std::size_t>(op);
+    panic_if(idx >= static_cast<std::size_t>(Opcode::NUM_OPCODES),
+             "bad opcode %zu", idx);
+    return detail::kOpTable[idx];
+}
 
 /** Mnemonic shorthand. */
 inline const char *opName(Opcode op) { return opInfo(op).name; }

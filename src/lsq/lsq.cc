@@ -127,9 +127,17 @@ LoadStoreQueue::emitReply(Block &b, Lsid lsid, Cycle when, Word value,
                           ValState state, std::uint16_t depth)
 {
     MemEntry &e = b.entries[lsid];
-    return _replies.emplace_back(LoadReply{
-        when, e.addr, b.seq, e.slot, lsid, value, state, ++e.replyWave,
-        depth, false, false, e.targets});
+    LoadReply &r = _replies.emplace_back();
+    r.when = when;
+    r.addr = e.addr;
+    r.seq = b.seq;
+    r.value = value;
+    r.wave = ++e.replyWave;
+    r.slot = e.slot;
+    r.lsid = lsid;
+    r.depth = depth;
+    r.state = state;
+    return r;
 }
 
 Cycle
@@ -151,16 +159,22 @@ LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
              "block seq %llu mapped twice or out of order",
              static_cast<unsigned long long>(seq));
     Block &b = at(_count);
-    auto ops = static_cast<Mask>((std::uint64_t{1} << block.numMemOps()) - 1);
-    b = Block{seq, arch_idx, block_id, ops, 0, 0, 0, 0, 0, 0, 0, {}};
+    b.seq = seq;
+    b.archIdx = arch_idx;
+    b.blockId = block_id;
+    b.ops = b.stores = b.performed = b.spec = b.waiting = 0;
+    // One walk: only the entries of the block's own LSIDs are reset.
     for (std::size_t s = 0; s < block.insts().size(); ++s) {
         const auto &in = block.insts()[s];
-        if (!isa::isMem(in.op))
+        const isa::OpInfo &info = isa::opInfo(in.op);
+        if (!info.isLoad && !info.isStore)
             continue;
         MemEntry &e = b.entries[in.lsid];
-        bool is_store = isa::isStore(in.op);
-        e.bytes = isa::opInfo(in.op).accessBytes;
+        e = MemEntry{};
+        bool is_store = info.isStore;
+        e.bytes = info.accessBytes;
         e.slot = static_cast<SlotId>(s);
+        b.ops |= bit(in.lsid);
         if (is_store) {
             b.stores |= bit(in.lsid);
             _policy->onStoreMapped(seq, block_id, in.lsid);
@@ -175,18 +189,13 @@ LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
     ++_count;
 }
 
-const std::vector<pred::UnresolvedStore> &
-LoadStoreQueue::olderUnresolved(const Block &b, Lsid lsid) const
+pred::OlderStores
+LoadStoreQueue::olderStores(const Block &b, Lsid lsid) const
 {
-    _olderScratch.clear();
-    for (unsigned a = 0;; ++a) {
-        const Block &o = at(a);
-        Mask m = &o == &b ? o.unresolved & below(lsid) : o.unresolved;
-        for (; m; m &= m - 1)
-            _olderScratch.push_back({o.seq, o.archIdx, o.blockId, low(m)});
-        if (&o == &b)
-            return _olderScratch;
-    }
+    auto slot = static_cast<unsigned>(&b - _ring.data());
+    unsigned age = (slot + _ring.size() - _head) % _ring.size();
+    return {_ring.data(), sizeof(Block), static_cast<unsigned>(_ring.size()),
+            _head, age + 1, below(lsid)};
 }
 
 Word
@@ -275,11 +284,9 @@ LoadStoreQueue::loadIsFinal(const Block &b, Lsid lsid) const
 }
 
 void
-LoadStoreQueue::loadRequest(
-    Cycle now, DynBlockSeq seq, Lsid lsid, Addr addr,
-    ValState addr_state, std::uint32_t wave, std::uint16_t depth,
-    const std::array<isa::Target, isa::kMaxTargets> &targets,
-    SlotId slot)
+LoadStoreQueue::loadRequest(Cycle now, DynBlockSeq seq, Lsid lsid,
+                            Addr addr, ValState addr_state,
+                            std::uint32_t wave, std::uint16_t depth)
 {
     Block *bp = findBlock(seq);
     if (!bp)
@@ -308,8 +315,6 @@ LoadStoreQueue::loadRequest(
         addr_state = ValState::Final;
     else
         e.addrState = addr_state;
-    e.targets = targets;
-    e.slot = slot;
     e.depth = depth;
 
     if (_check)
@@ -358,15 +363,13 @@ void
 LoadStoreQueue::tryIssueLoad(Cycle now, Block &b, Lsid lsid)
 {
     MemEntry &e = b.entries[lsid];
-    const std::vector<pred::UnresolvedStore> &older =
-        olderUnresolved(b, lsid);
-    pred::LoadQuery q{b.seq,  b.archIdx, b.blockId, lsid,
-                      e.addr, e.bytes,   &older,    e.dep};
+    pred::LoadQuery q{b.seq,  b.archIdx, b.blockId,            lsid,
+                      e.addr, e.bytes,   olderStores(b, lsid), e.dep};
     // A replay hold waits for every older store, then expires.
     auto hold_key = std::make_pair(b.archIdx, lsid);
     bool replay_wait = false;
     if (!_replayHolds.empty() && _replayHolds.count(hold_key)) {
-        replay_wait = !older.empty();
+        replay_wait = q.older.any();
         if (!replay_wait)
             _replayHolds.erase(hold_key);
     }

@@ -97,18 +97,21 @@ struct LsqParams
     std::size_t vpTableSize = 1024;
 };
 
-/** A load reply / resend / upgrade the core must put on the network. */
+/**
+ * A load reply / resend / upgrade the core must put on the network,
+ * to the targets of the load instruction in slot `slot`.
+ */
 struct LoadReply
 {
     Cycle when = 0;            ///< earliest cycle the reply may leave
     Addr addr = 0;             ///< for bank routing
     DynBlockSeq seq = 0;
+    Word value = 0;
+    std::uint32_t wave = 0;
     SlotId slot = 0;           ///< the load instruction's slot
     Lsid lsid = 0;
-    Word value = 0;
-    ValState state = ValState::Spec;
-    std::uint32_t wave = 0;
     std::uint16_t depth = 0;
+    ValState state = ValState::Spec;
     bool statusOnly = false; ///< commit-wave upgrade (same value)
     /**
      * Deliberate same-value resend — a chaos-injected echo wave or a
@@ -116,7 +119,6 @@ struct LoadReply
      * invariant must not flag it.
      */
     bool echo = false;
-    std::array<isa::Target, isa::kMaxTargets> targets{};
 };
 
 /** A detected dependence violation (flush recovery consumes this). */
@@ -152,7 +154,10 @@ class LoadStoreQueue
                    chaos::ChaosEngine *chaos = nullptr,
                    chaos::InvariantChecker *check = nullptr);
 
-    /** A block entered the window: allocate its LSID entries. */
+    /**
+     * A block entered the window: allocate its LSID entries. Each
+     * entry takes its size and slot from the static instruction.
+     */
     void mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
                   BlockId block_id, const isa::Block &block);
 
@@ -162,9 +167,7 @@ class LoadStoreQueue
      */
     void loadRequest(Cycle now, DynBlockSeq seq, Lsid lsid, Addr addr,
                      ValState addr_state, std::uint32_t wave,
-                     std::uint16_t depth,
-                     const std::array<isa::Target, isa::kMaxTargets>
-                         &targets, SlotId slot);
+                     std::uint16_t depth);
 
     /** A store's address and data arrived (or changed / upgraded). */
     void storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid, Addr addr,
@@ -240,19 +243,19 @@ class LoadStoreQueue
         Cycle lastReplyWhen = 0;
         std::uint32_t replyWave = 0;
         std::uint16_t depth = 0;
-        std::array<isa::Target, isa::kMaxTargets> targets{};
         /** Store-set dependence captured when the block mapped. */
         pred::CapturedDep dep;
     };
 
-    struct Block
+    /**
+     * One in-flight block. The head (seq, archIdx, blockId and the
+     * `unresolved` store mask) is the part policies read in place,
+     * through pred::OlderStores.
+     */
+    struct Block : pred::WindowBlock
     {
-        DynBlockSeq seq = 0;
-        std::uint64_t archIdx = 0;
-        BlockId blockId = 0;
         Mask ops = 0;        ///< every LSID of the block
         Mask stores = 0;     ///< static: which LSIDs are stores
-        Mask unresolved = 0; ///< stores whose address has not arrived
         Mask specAddr = 0;   ///< DSRE: stores without a Final address
         Mask specData = 0;   ///< DSRE: stores without Final data
         Mask performed = 0;  ///< loads that have replied
@@ -312,10 +315,8 @@ class LoadStoreQueue
     /** True when every byte can come only from final sources. */
     bool loadIsFinal(const Block &b, Lsid lsid) const;
 
-    /** Older unresolved stores, oldest first (policy query input);
-     *  a reference to _olderScratch, valid until the next call. */
-    const std::vector<pred::UnresolvedStore> &
-    olderUnresolved(const Block &b, Lsid lsid) const;
+    /** Older unresolved stores (policy query input), viewed in place. */
+    pred::OlderStores olderStores(const Block &b, Lsid lsid) const;
 
     /** Try to issue a load now (policy permitting); send the reply. */
     void tryIssueLoad(Cycle now, Block &b, Lsid lsid);
@@ -359,7 +360,6 @@ class LoadStoreQueue
     std::vector<Violation> _flushRequests;
 
     // Scratch buffers reused across calls; no user re-enters.
-    mutable std::vector<pred::UnresolvedStore> _olderScratch;
     mutable std::vector<std::uint32_t> _valueKeys; ///< computeLoadValue
     std::vector<std::uint32_t> _hitKeys;           ///< storeChanged
     std::vector<Hit> _hitsScratch;                 ///< storeChanged

@@ -11,11 +11,13 @@
  * In-flight messages wait in a calendar queue: a ring of kRingCycles
  * per-cycle FIFO buckets starting at cycle `_base`, plus a min-heap
  * on (arrival, send order) for the arrivals the ring cannot hold —
- * those past its horizon and those already below its base. Delivery
- * is in (arrival, send order), exactly as one global heap would give;
- * deliver() says why. Send and delivery cost O(1) per message while
- * the ring holds it, and finding the next arrival is a bit scan, so
- * empty cycles cost nothing.
+ * those past its horizon, those already below its base, and sends
+ * made during a delivery that would have to grow the bucket pool.
+ * Delivery merges the two on (arrival, send order), exactly as one
+ * global heap would give. Send and delivery cost O(1) per message
+ * while the ring holds it, and finding the next arrival is a bit
+ * scan, so empty cycles cost nothing. Messages are written straight
+ * into their queue slot and handed to the consumer in place.
  *
  * Mesh is a class template over the payload so the network layer
  * stays independent of core message formats.
@@ -79,6 +81,20 @@ class Mesh
     Cycle
     send(Cycle now, Coord src, Coord dst, const Payload &payload)
     {
+        return emplace(now, src, dst,
+                       [&payload](Payload &p) { p = payload; });
+    }
+
+    /**
+     * send(), with the message built in its queue slot: `fill` is
+     * called as fill(Payload &) on a value-initialised payload, once
+     * per queued copy (twice when chaos duplicates the message), and
+     * must write the same message each time.
+     */
+    template <typename Fill>
+    Cycle
+    emplace(Cycle now, Coord src, Coord dst, Fill &&fill)
+    {
         ++_sent;
         Cycle t = now;
         if (!(src == dst)) {
@@ -126,9 +142,9 @@ class Mesh
             // stale wave — duplicate delivery is idempotent.
             t += _p.chaos->hopJitter();
             if (_p.chaos->duplicate())
-                push(t + _p.chaos->duplicateSkew(), dst, payload);
+                push(t + _p.chaos->duplicateSkew(), dst, fill);
         }
-        push(t, dst, payload);
+        push(t, dst, fill);
         return t;
     }
 
@@ -138,50 +154,62 @@ class Mesh
      * @param fn invoked as fn(Coord dst, Payload &&msg) in a
      *        deterministic (arrival time, send order) order
      *
-     * Order: the heap first while its top arrives no later than the
-     * earliest non-empty bucket, then that bucket in FIFO order. This
-     * is exactly (arrival, send order) because send order only rises
-     * and `_base` never falls (reset() empties the queue before it
-     * lowers the base). Heap events below the base were sent after
-     * that cycle's bucket had drained (the base moves past a cycle
-     * only at the end of a call that emptied its bucket), so for them
-     * the bucket stays empty. A heap event at cycle c >= the base was
-     * sent before c came within kRingCycles of the base, so before
-     * anything in c's bucket.
+     * Order: each step takes the earlier, on (arrival, send order),
+     * of the heap's top and the earliest non-empty bucket's head. A
+     * bucket is FIFO, so in send order, and the buckets are in cycle
+     * order; the merge of the two sorted sources is the order one
+     * global heap would give, whichever source a message sits in.
+     *
+     * A ring message is handed to `fn` in place, in its pool node.
+     * The reference stays valid while `fn` runs: the node joins the
+     * free list only after `fn` returns, and push() never makes the
+     * pool reallocate during a delivery (see push()).
      */
     template <typename Fn>
     void
     deliver(Cycle now, Fn &&fn)
     {
+        _delivering = true;
+        struct Done
+        {
+            bool &flag;
+            ~Done() { flag = false; }
+        } done{_delivering};
         for (;;) {
             Cycle ring = earliestBucket();
-            bool from_heap = !_far.empty() && _far.front().arrival <= now &&
-                             _far.front().arrival <= ring;
-            if (!from_heap && (!_occupied || ring > now))
-                break;
+            const Node *head =
+                ring <= now ? &_pool[_ring[ring % kRingCycles].head]
+                            : nullptr;
+            const Event *top =
+                !_far.empty() && _far.front().arrival <= now ? &_far.front()
+                                                             : nullptr;
+            bool from_heap =
+                top && (!head || top->arrival < ring ||
+                        (top->arrival == ring && top->seq < head->seq));
             if (from_heap) {
                 // Explicit heap (not a priority_queue) so the due
-                // event is moved out, never copied.
+                // event is moved out, never copied; `fn` may push.
                 std::pop_heap(_far.begin(), _far.end(), laterThan);
                 Event ev = std::move(_far.back());
                 _far.pop_back();
-                hand(ev, fn);
-            } else {
-                unsigned slot = static_cast<unsigned>(ring % kRingCycles);
-                Bucket &b = _ring[slot];
-                std::uint32_t i = b.head;
-                // Moved out before `fn` runs: a send from `fn` may
-                // grow the pool.
-                Event ev = std::move(_pool[i].ev);
-                b.head = _pool[i].next;
-                if (b.head == kNil) {
-                    b.tail = kNil;
-                    _occupied &= ~(std::uint64_t{1} << slot);
-                }
-                _pool[i].next = _free;
-                _free = i;
-                hand(ev, fn);
+                hand(ev.dst, ev.payload, fn);
+                continue;
             }
+            if (!head)
+                break;
+            unsigned slot = static_cast<unsigned>(ring % kRingCycles);
+            Bucket &b = _ring[slot];
+            std::uint32_t i = b.head;
+            hand(_pool[i].dst, _pool[i].payload, fn);
+            // Unlink after `fn`: a send from `fn` to this cycle may
+            // have appended behind node i.
+            b.head = _pool[i].next;
+            if (b.head == kNil) {
+                b.tail = kNil;
+                _occupied &= ~(std::uint64_t{1} << slot);
+            }
+            _pool[i].next = _free;
+            _free = i;
         }
         // Everything due by `now` is gone, so the ring may start at
         // now + 1: later sends for [now + 1, now + kRingCycles] then
@@ -212,6 +240,7 @@ class Mesh
         _ring.fill(Bucket{});
         _pool.clear();
         _free = kNil;
+        _delivering = false;
         _occupied = 0;
         _base = 0;
         _far.clear();
@@ -224,19 +253,24 @@ class Mesh
   private:
     struct Event
     {
-        Cycle arrival;
-        std::uint64_t seq; ///< tie-break for deterministic delivery
+        Cycle arrival = 0;
+        std::uint64_t seq = 0; ///< tie-break for deterministic delivery
         Coord dst;
-        Payload payload;
+        Payload payload{};
     };
 
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-    /** A pooled event; `next` chains a bucket's FIFO or the free list. */
+    /**
+     * A pooled event; `next` chains a bucket's FIFO or the free list.
+     * Its arrival is its bucket's cycle. 64 bytes for a core::Msg.
+     */
     struct Node
     {
-        Event ev;
-        std::uint32_t next;
+        std::uint64_t seq = 0;
+        Coord dst;
+        std::uint32_t next = kNil;
+        Payload payload{};
     };
 
     /** Messages arriving in one cycle: a FIFO of pool nodes. */
@@ -256,11 +290,11 @@ class Mesh
 
     template <typename Fn>
     void
-    hand(Event &ev, Fn &fn)
+    hand(Coord dst, Payload &payload, Fn &fn)
     {
         --_count;
         ++_delivered;
-        fn(ev.dst, std::move(ev.payload));
+        fn(dst, std::move(payload));
     }
 
     /** Cycle of the earliest non-empty bucket, ~Cycle{0} if none. */
@@ -276,26 +310,44 @@ class Mesh
                            std::countr_zero(std::rotr(_occupied, shift)));
     }
 
-    /** Queue a copy of `payload` for delivery at `arrival`. */
+    /**
+     * Queue a message for delivery at `arrival`, built by `fill` in
+     * its slot. During a delivery the pool may take a new node only
+     * while it has spare capacity; otherwise the message goes to the
+     * heap, so the node deliver() is handing out never moves.
+     */
+    template <typename Fill>
     void
-    push(Cycle arrival, Coord dst, const Payload &payload)
+    push(Cycle arrival, Coord dst, Fill &fill)
     {
         ++_count;
         std::uint64_t seq = _nextSeq++;
-        if (arrival < _base || arrival - _base >= kRingCycles) {
-            _far.push_back(Event{arrival, seq, dst, payload});
+        std::uint32_t i = _free;
+        bool in_ring = arrival >= _base && arrival - _base < kRingCycles &&
+                       (i != kNil || !_delivering ||
+                        _pool.size() < _pool.capacity());
+        if (!in_ring) {
+            Event &ev = _far.emplace_back();
+            ev.arrival = arrival;
+            ev.seq = seq;
+            ev.dst = dst;
+            fill(ev.payload);
             std::push_heap(_far.begin(), _far.end(), laterThan);
             return;
         }
         // A free node if there is one, else a new one.
-        std::uint32_t i = _free;
         if (i != kNil) {
             _free = _pool[i].next;
-            _pool[i] = Node{Event{arrival, seq, dst, payload}, kNil};
         } else {
             i = static_cast<std::uint32_t>(_pool.size());
-            _pool.push_back(Node{Event{arrival, seq, dst, payload}, kNil});
+            _pool.emplace_back();
         }
+        Node &n = _pool[i];
+        n.seq = seq;
+        n.dst = dst;
+        n.next = kNil;
+        n.payload = Payload{};
+        fill(n.payload);
         unsigned slot = static_cast<unsigned>(arrival % kRingCycles);
         Bucket &b = _ring[slot];
         if (b.tail == kNil)
@@ -311,6 +363,7 @@ class Mesh
     std::array<Bucket, kRingCycles> _ring; ///< cycle c: _ring[c % kRingCycles]
     std::vector<Node> _pool;     ///< storage of every bucket's events
     std::uint32_t _free = kNil;  ///< free-list head in _pool
+    bool _delivering = false;    ///< deliver() is handing out a node
     std::uint64_t _occupied = 0; ///< bit c % kRingCycles: bucket non-empty
     Cycle _base = 0;             ///< ring: [_base, _base + kRingCycles)
     std::vector<Event> _far;     ///< min-heap: past the horizon or below _base

@@ -46,7 +46,7 @@ class ConservativePredictor : public DependencePredictor
     bool
     loadMustWait(const LoadQuery &query) override
     {
-        if (query.olderUnresolved->empty())
+        if (!query.older.any())
             return false;
         ++_waits;
         return true;

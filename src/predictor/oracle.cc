@@ -62,18 +62,16 @@ OraclePredictor::loadMustWait(const LoadQuery &query)
         ++_offPath;
         return false;
     }
-    for (const UnresolvedStore &st : *query.olderUnresolved) {
+    bool wait = query.older.anyOf([&](const UnresolvedStore &st) {
         if (_db.blockAt(st.archIdx) != st.block)
-            continue; // wrong-path store: its block will be squashed
+            return false; // wrong-path store: its block will be squashed
         const OracleDb::MemOp *op = _db.memOp(st.archIdx, st.lsid);
-        if (!op || !op->isStore)
-            continue;
-        if (rangesOverlap(op->addr, op->bytes, query.addr, query.bytes)) {
-            ++_waits;
-            return true;
-        }
-    }
-    return false;
+        return op && op->isStore &&
+               rangesOverlap(op->addr, op->bytes, query.addr, query.bytes);
+    });
+    if (wait)
+        ++_waits;
+    return wait;
 }
 
 } // namespace edge::pred

@@ -66,13 +66,10 @@ StoreSetsPredictor::loadMustWait(const LoadQuery &query)
         return false;
     // Wait while the captured store instance is still an older,
     // unresolved in-flight store.
-    for (const UnresolvedStore &st : *query.olderUnresolved) {
-        if (st.seq == query.dep.seq && st.lsid == query.dep.lsid) {
-            ++_waits;
-            return true;
-        }
-    }
-    return false;
+    if (!query.older.contains(query.dep.seq, query.dep.lsid))
+        return false;
+    ++_waits;
+    return true;
 }
 
 void

@@ -454,6 +454,56 @@ TEST(Placement, KeepsDependentChainsNearby)
     EXPECT_LE(hops, insts.size()); // average < 1 hop per edge
 }
 
+TEST(Placement, DecodesRsIndicesNodeMaskAndTargetPositions)
+{
+    // chainProgram reads no register, so give it a read too.
+    ProgramBuilder pb("decode");
+    auto &blk = pb.newBlock("only");
+    compiler::Val v = blk.readReg(9);
+    for (unsigned i = 0; i < 30; ++i)
+        v = blk.addi(v, 1);
+    blk.writeReg(6, v);
+    blk.branchHalt();
+    isa::Program p = pb.build();
+    const isa::Block &b = p.block(0);
+    GridGeom geom{3, 5, 4};
+    Placement pl = placeBlock(b, geom);
+
+    // RS indices count each node's slots in slot order.
+    std::vector<unsigned> fill(geom.numNodes(), 0);
+    std::uint64_t mask = 0;
+    for (std::size_t s = 0; s < b.insts().size(); ++s) {
+        EXPECT_EQ(pl.localOf[s], fill[pl.nodeOf[s]]++);
+        mask |= std::uint64_t{1} << pl.nodeOf[s];
+    }
+    EXPECT_EQ(pl.nodeMask, mask);
+
+    // Operand targets go to the consumer's node (one row and one
+    // column in from the RF row and LSQ column), writes to the
+    // register's bank in row 0.
+    auto check = [&](const std::array<isa::Target, isa::kMaxTargets> &ts,
+                     const Placement::Dests &ds) {
+        for (unsigned k = 0; k < isa::kMaxTargets; ++k) {
+            if (ts[k].kind == TargetKind::Operand) {
+                unsigned n = pl.nodeOf[ts[k].index];
+                EXPECT_EQ(ds[k].row, n / geom.cols + 1);
+                EXPECT_EQ(ds[k].col, n % geom.cols + 1);
+            } else if (ts[k].kind == TargetKind::RegWrite) {
+                unsigned reg = b.writes()[ts[k].index].reg;
+                EXPECT_EQ(ds[k].row, 0u);
+                EXPECT_EQ(ds[k].col, reg % geom.cols + 1);
+            }
+        }
+    };
+    ASSERT_EQ(pl.instDest.size(), b.insts().size());
+    for (std::size_t s = 0; s < b.insts().size(); ++s)
+        check(b.insts()[s].targets, pl.instDest[s]);
+    ASSERT_EQ(pl.readDest.size(), b.reads().size());
+    ASSERT_FALSE(b.reads().empty());
+    for (std::size_t r = 0; r < b.reads().size(); ++r)
+        check(b.reads()[r].targets, pl.readDest[r]);
+}
+
 TEST(Placement, RejectsUndersizedGrid)
 {
     isa::Program p = chainProgram(40);

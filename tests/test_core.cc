@@ -11,6 +11,7 @@
 
 #include "panic_check.hh"
 
+#include "common/rng.hh"
 #include "compiler/builder.hh"
 #include "core/exec_node.hh"
 #include "core/reg_unit.hh"
@@ -135,6 +136,35 @@ TEST_F(ExecNodeTest, CommitWaveUpgradeUsesCommitPort)
     EXPECT_EQ(stats.counterValue("core.alu_issues"), 1u); // no ALU
 }
 
+TEST_F(ExecNodeTest, ValueChangeCancelsAPendingUpgrade)
+{
+    isa::Instruction add;
+    add.op = Opcode::ADD;
+    node.mapInst(0, 0, /*seq=*/1, /*slot=*/0, add); // older
+    node.mapInst(1, 0, /*seq=*/2, /*slot=*/0, add);
+    for (unsigned f = 0; f < 2; ++f) {
+        node.deliver(f, 0, 0, 3, ValState::Spec, 1, 0);
+        node.deliver(f, 0, 1, 4, ValState::Spec, 1, 0);
+    }
+    node.tick(0);
+    node.tick(1);
+    ASSERT_EQ(events.size(), 2u);
+    // Frame 1's slot first wants an upgrade (same value, now Final),
+    // then a re-fire (changed value): the upgrade is void.
+    node.deliver(1, 0, 0, 3, ValState::Final, 2, 0);
+    node.deliver(1, 0, 1, 5, ValState::Final, 2, 0);
+    node.deliver(0, 0, 0, 9, ValState::Spec, 2, 0);
+    node.tick(2); // the older slot takes the ALU
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[2].seq, 1u);
+    node.tick(3);
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_EQ(events[3].seq, 2u);
+    EXPECT_EQ(events[3].value, 8u);
+    EXPECT_FALSE(events[3].statusOnly);
+    EXPECT_FALSE(node.hasWork());
+}
+
 TEST_F(ExecNodeTest, FinalOperandValueChangePanics)
 {
     mapAdd();
@@ -173,20 +203,22 @@ TEST_F(ExecNodeTest, StoreEmitsResolveWithSplitStates)
     EXPECT_EQ(events[0].lsid, 3u);
 }
 
-TEST_F(ExecNodeTest, LoadEmitsRequestWithTargets)
+TEST_F(ExecNodeTest, LoadEmitsRequestWithItsSlot)
 {
+    // The request names the load's slot; the LSQ replies to the
+    // targets of that static instruction.
     isa::Instruction ld;
     ld.op = Opcode::LDD;
     ld.imm = 8;
     ld.lsid = 0;
     ld.targets[0] = Target::toOperand(5, 1);
-    node.mapInst(0, 0, 1, 0, ld);
+    node.mapInst(0, 0, 1, 7, ld);
     node.deliver(0, 0, 0, 0x100, ValState::Final, 1, 0);
     node.tick(0);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].kind, NodeEvent::Kind::LoadRequest);
     EXPECT_EQ(events[0].addr, 0x108u);
-    EXPECT_EQ(events[0].targets[0], Target::toOperand(5, 1));
+    EXPECT_EQ(events[0].slot, 7u);
 }
 
 TEST_F(ExecNodeTest, ClearFrameFreesSlots)
@@ -195,6 +227,294 @@ TEST_F(ExecNodeTest, ClearFrameFreesSlots)
     EXPECT_EQ(node.occupancy(), 1u);
     node.clearFrame(0);
     EXPECT_EQ(node.occupancy(), 0u);
+}
+
+/**
+ * A slot-by-slot model of a node's reservation stations: it derives
+ * each slot's want bits from its flags on every query, as the node
+ * did before it kept them incrementally.
+ */
+struct RsModel
+{
+    struct Rs
+    {
+        bool valid = false;
+        bool executed = false;
+        bool dirtyValue = false;
+        bool dirtyState = false;
+        DynBlockSeq seq = 0;
+        SlotId slot = 0;
+        isa::Instruction inst;
+        unsigned seen = 0;
+        std::array<Word, isa::kMaxOperands> val{};
+        std::array<ValState, isa::kMaxOperands> state{};
+        std::array<std::uint32_t, isa::kMaxOperands> wave{};
+        Word lastValue = 0;
+        ValState lastState = ValState::Spec;
+        std::uint32_t sends = 0;
+
+        unsigned numOps() const { return inst.numOperands(); }
+        bool ready() const
+        {
+            return valid && seen == (1u << numOps()) - 1;
+        }
+        bool wantAlu(const CoreParams &p) const
+        {
+            return ready() && (!executed || dirtyValue ||
+                               (p.commitWaveUsesAlu && dirtyState));
+        }
+        bool wantUp(const CoreParams &p) const
+        {
+            return ready() && !p.commitWaveUsesAlu && executed &&
+                   !dirtyValue && dirtyState;
+        }
+        ValState inputState() const
+        {
+            ValState s = ValState::Final;
+            for (unsigned k = 0; k < numOps(); ++k)
+                s = andState(s, state[k]);
+            return s;
+        }
+    };
+
+    /** What one issue sends (the node's event, abridged). */
+    struct Sent
+    {
+        DynBlockSeq seq;
+        SlotId slot;
+        Word value;
+        ValState state;
+        std::uint32_t wave;
+        bool statusOnly;
+        bool operator==(const Sent &o) const
+        {
+            return seq == o.seq && slot == o.slot && value == o.value &&
+                   state == o.state && wave == o.wave &&
+                   statusOnly == o.statusOnly;
+        }
+    };
+
+    explicit RsModel(const CoreParams &params)
+        : p(params), rs(params.slotsPerNode * params.numFrames)
+    {
+    }
+
+    bool
+    hasWork() const
+    {
+        for (const Rs &r : rs)
+            if (r.wantAlu(p) || r.wantUp(p))
+                return true;
+        return false;
+    }
+
+    unsigned
+    occupancy() const
+    {
+        unsigned n = 0;
+        for (const Rs &r : rs)
+            n += r.valid;
+        return n;
+    }
+
+    bool
+    deliver(unsigned i, unsigned k, Word v, ValState st,
+            std::uint32_t wave)
+    {
+        Rs &r = rs[i];
+        if (wave <= r.wave[k])
+            return false;
+        r.wave[k] = wave;
+        bool first = !(r.seen & (1u << k));
+        ValState prev = first ? ValState::Spec : r.state[k];
+        bool changed = first || r.val[k] != v;
+        ValState next = prev == ValState::Final ? ValState::Final : st;
+        r.seen |= 1u << k;
+        r.val[k] = v;
+        r.state[k] = next;
+        if (r.executed) {
+            if (changed)
+                r.dirtyValue = true;
+            else if (prev != ValState::Final && next == ValState::Final)
+                r.dirtyState = true;
+        }
+        return true;
+    }
+
+    void
+    upgrade(Rs &r, std::vector<Sent> &out)
+    {
+        r.dirtyState = false;
+        ValState s = r.inputState();
+        if (s != ValState::Final || r.lastState == ValState::Final)
+            return;
+        r.lastState = s;
+        out.push_back({r.seq, r.slot, r.lastValue, s, ++r.sends, true});
+    }
+
+    /** One node tick: the ALU issue, then the commit ports. */
+    std::vector<Sent>
+    tick()
+    {
+        std::vector<Sent> out;
+        Rs *best = nullptr;
+        for (Rs &r : rs) {
+            if (r.wantAlu(p) &&
+                (!best || r.seq < best->seq ||
+                 (r.seq == best->seq && r.slot < best->slot)))
+                best = &r;
+        }
+        if (best) {
+            Rs &r = *best;
+            if (p.commitWaveUsesAlu && r.executed && !r.dirtyValue &&
+                r.dirtyState) {
+                upgrade(r, out);
+            } else {
+                Word v = isa::evalOp(r.inst.op, r.val[0], r.val[1],
+                                     r.val[2], r.inst.imm);
+                ValState s = r.inputState();
+                bool squash = r.executed && r.lastValue == v &&
+                              r.lastState == s;
+                r.executed = true;
+                r.dirtyValue = r.dirtyState = false;
+                r.lastValue = v;
+                r.lastState = s;
+                if (!squash)
+                    out.push_back({r.seq, r.slot, v, s, ++r.sends, false});
+            }
+        }
+        unsigned budget = p.commitPortsPerNode;
+        for (Rs &r : rs) {
+            if (!budget || p.commitWaveUsesAlu)
+                break;
+            if (r.wantUp(p)) {
+                upgrade(r, out);
+                --budget;
+            }
+        }
+        return out;
+    }
+
+    const CoreParams &p;
+    std::vector<Rs> rs;
+};
+
+/**
+ * Map, deliver, issue and clear frames in a seeded order on a node
+ * whose frames straddle 64-bit words (12 slots x 16 frames). After
+ * every step the node's hasWork(), occupancy() and issued events
+ * must match the model, under both commit-wave settings.
+ */
+TEST(ExecNodeWantBits, MatchSlotBySlotModel)
+{
+    const isa::Opcode ops[] = {Opcode::MOVI, Opcode::MOV, Opcode::ADD,
+                               Opcode::SEL};
+    for (bool alu_commit : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed
+                                            << " aluCommit "
+                                            << alu_commit);
+            CoreParams params;
+            params.slotsPerNode = 12;
+            params.numFrames = 16;
+            params.commitWaveUsesAlu = alu_commit;
+            StatSet stats("t");
+            NodeStats ns{stats.counter("core.alu_issues", ""),
+                         stats.counter("core.alu_reexecs", ""),
+                         stats.counter("core.upgrades", ""),
+                         stats.counter("core.squashes", ""),
+                         stats.histogram("core.wave_depth", "")};
+            ExecNode node(params, ns);
+            RsModel model(params);
+            Rng rng(seed);
+            std::vector<bool> frame_used(params.numFrames, false);
+            DynBlockSeq next_seq = 1;
+            Word next_val = 100;
+            Cycle now = 0;
+            unsigned last = 0; ///< slot of the previous delivery
+
+            for (unsigned step = 0; step < 5000; ++step) {
+                unsigned what = static_cast<unsigned>(rng.below(10));
+                if (what == 0) {
+                    // Map a frame: a random subset of its slots.
+                    auto f = static_cast<unsigned>(
+                        rng.below(params.numFrames));
+                    if (frame_used[f])
+                        continue;
+                    frame_used[f] = true;
+                    DynBlockSeq seq = next_seq++;
+                    for (unsigned l = 0; l < params.slotsPerNode; ++l) {
+                        if (!rng.chance(3, 4))
+                            continue;
+                        isa::Instruction in;
+                        in.op = ops[rng.below(4)];
+                        in.imm = static_cast<std::int64_t>(rng.below(9));
+                        auto slot = static_cast<SlotId>(
+                            (l * 7 + seq) % params.slotsPerNode);
+                        node.mapInst(f, l, seq, slot, in);
+                        RsModel::Rs &r =
+                            model.rs[f * params.slotsPerNode + l];
+                        r = RsModel::Rs{};
+                        r.valid = true;
+                        r.seq = seq;
+                        r.slot = slot;
+                        r.inst = in;
+                    }
+                } else if (what == 1) {
+                    auto f = static_cast<unsigned>(
+                        rng.below(params.numFrames));
+                    node.clearFrame(f);
+                    frame_used[f] = false;
+                    for (unsigned l = 0; l < params.slotsPerNode; ++l)
+                        model.rs[f * params.slotsPerNode + l].valid =
+                            false;
+                } else if (what <= 6) {
+                    // Deliver to a valid slot with operands: often the
+                    // last one again, so waves pile up on one slot.
+                    unsigned i = rng.chance(1, 2)
+                                     ? last
+                                     : static_cast<unsigned>(
+                                           rng.below(model.rs.size()));
+                    last = i;
+                    RsModel::Rs &r = model.rs[i];
+                    if (!r.valid || r.numOps() == 0)
+                        continue;
+                    auto k = static_cast<unsigned>(rng.below(r.numOps()));
+                    bool seen = r.seen & (1u << k);
+                    // A Final operand may only repeat its value.
+                    bool keep = seen && (r.state[k] == ValState::Final ||
+                                         rng.chance(1, 2));
+                    Word v = keep ? r.val[k] : next_val++;
+                    ValState st = rng.chance(1, 2) ? ValState::Final
+                                                   : ValState::Spec;
+                    std::uint32_t wave = rng.chance(1, 8)
+                                             ? r.wave[k]
+                                             : r.wave[k] + 1;
+                    unsigned f = i / params.slotsPerNode;
+                    unsigned l = i % params.slotsPerNode;
+                    EXPECT_EQ(node.deliver(f, l, k, v, st, wave, 0),
+                              model.deliver(i, k, v, st, wave));
+                } else {
+                    ++now;
+                    node.events().clear();
+                    std::vector<RsModel::Sent> want = model.tick();
+                    bool did = node.tick(now);
+                    std::vector<RsModel::Sent> got;
+                    for (const NodeEvent &ev : node.events())
+                        got.push_back({ev.seq, ev.slot, ev.value,
+                                       ev.state, ev.wave,
+                                       ev.statusOnly});
+                    ASSERT_TRUE(got == want) << "step " << step;
+                    if (!want.empty())
+                        EXPECT_TRUE(did);
+                }
+                ASSERT_EQ(node.hasWork(), model.hasWork())
+                    << "step " << step;
+                ASSERT_EQ(node.occupancy(), model.occupancy())
+                    << "step " << step;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

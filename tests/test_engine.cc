@@ -4,7 +4,6 @@
  *
  *  - core/scheduler: the calendar-wheel wake list (near window,
  *    overflow heap, wraparound, pruning, idempotence);
- *  - common/arena: the bump arena behind per-block bookkeeping;
  *  - core/program_image: one decode/validate/place per distinct
  *    program, shared read-only across Processors;
  *  - the engine differential: `EngineKind::Tick` and
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/arena.hh"
 #include "core/program_image.hh"
 #include "core/scheduler.hh"
 #include "fuzz/generator.hh"
@@ -124,50 +122,6 @@ TEST(Scheduler, FarWakesMigrateCorrectlyAsTimeAdvances)
     // though it was registered beyond the original near window.
     EXPECT_EQ(s.nextAtOrAfter(4'999), 5'000u);
     EXPECT_EQ(s.nextAtOrAfter(5'001), 6'000u);
-}
-
-// ---------------------------------------------------------------
-// Arena
-
-TEST(Arena, AlignedBumpAllocation)
-{
-    Arena a(256);
-    void *p1 = a.alloc(3, 1);
-    void *p8 = a.alloc(40, 8);
-    void *p64 = a.alloc(10, 64);
-    EXPECT_NE(p1, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p8) % 8, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p64) % 64, 0u);
-    EXPECT_GE(a.bytesUsed(), 53u);
-    EXPECT_GE(a.bytesReserved(), a.bytesUsed());
-}
-
-TEST(Arena, GrowsAcrossChunksAndHandlesOversizeRequests)
-{
-    Arena a(128);
-    // Many small allocations spill into fresh chunks...
-    for (int i = 0; i < 100; ++i)
-        EXPECT_NE(a.alloc(32, 8), nullptr);
-    // ...and a request larger than the chunk size gets its own chunk.
-    std::uint16_t *big = a.allocArray<std::uint16_t>(4096);
-    ASSERT_NE(big, nullptr);
-    big[0] = 1;
-    big[4095] = 2; // touch both ends: the region must be real
-    EXPECT_EQ(big[0], 1);
-    EXPECT_EQ(big[4095], 2);
-}
-
-TEST(Arena, ResetRetainsChunksAndReusesMemory)
-{
-    Arena a(256);
-    void *first = a.alloc(64, 8);
-    a.alloc(64, 8);
-    std::size_t reserved = a.bytesReserved();
-    a.reset();
-    EXPECT_EQ(a.bytesUsed(), 0u);
-    EXPECT_EQ(a.bytesReserved(), reserved); // chunks retained
-    // The first post-reset allocation lands back at the start.
-    EXPECT_EQ(a.alloc(64, 8), first);
 }
 
 // ---------------------------------------------------------------

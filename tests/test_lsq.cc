@@ -71,9 +71,7 @@ class LsqTest : public ::testing::Test
     sendLoad(Cycle now, DynBlockSeq seq, Addr addr,
              ValState st = ValState::Spec, std::uint32_t wave = 1)
     {
-        std::array<Target, isa::kMaxTargets> tgts{};
-        tgts[0] = Target::toOperand(1, 1);
-        lsq->loadRequest(now, seq, 0, addr, st, wave, 0, tgts, 0);
+        lsq->loadRequest(now, seq, 0, addr, st, wave, 0);
     }
 
     void
@@ -361,11 +359,9 @@ TEST_F(LsqFlushTest, ReplayHoldForcesConservativeRetry)
     // architectural index (4 -> older, 5 -> the replayed instance).
     lsq->mapBlock(4, 4, 0, prog->block(0));
     lsq->mapBlock(5, 2, 0, prog->block(0)); // archIdx 2 again
-    std::array<Target, isa::kMaxTargets> tgts{};
-    tgts[0] = Target::toOperand(1, 1);
     // The one-shot replay hold makes the load wait for block 4's
     // unresolved store even under the blind policy.
-    lsq->loadRequest(10, 5, 0, 0x100, ValState::Final, 1, 0, tgts, 0);
+    lsq->loadRequest(10, 5, 0, 0x100, ValState::Final, 1, 0);
     EXPECT_TRUE(replies.empty());
     EXPECT_GT(stats.counterValue("lsq.replay_waits"), 0u);
     // Resolving the older store releases the hold.
@@ -462,7 +458,7 @@ TEST_F(LsqTest, StraddlingAccessesMergeBytesAcrossIndexWords)
     map(3);
     // Block 3's load [0x10c, 0x114) spans words 0x108 and 0x110 and
     // performs first, reading memory.
-    lsq->loadRequest(0, 3, 0, 0x10c, ValState::Final, 1, 0, {}, 0);
+    lsq->loadRequest(0, 3, 0, 0x10c, ValState::Final, 1, 0);
     EXPECT_EQ(lastReply().value, 0xEEEEEEEEEEEEEEEEull);
     // An older store lands on the load's second word only: the load
     // is found through that word and re-sent with merged bytes.
@@ -517,7 +513,11 @@ class RecordingPolicy : public pred::DependencePredictor
     bool
     loadMustWait(const pred::LoadQuery &q) override
     {
-        older = *q.olderUnresolved;
+        older.clear();
+        q.older.anyOf([this](const pred::UnresolvedStore &u) {
+            older.push_back(u);
+            return false;
+        });
         return false;
     }
     const char *name() const override { return "recording"; }
@@ -551,7 +551,7 @@ TEST(LsqOrder, OlderUnresolvedIsInProgramOrderAcrossBlocks)
         lsq.mapBlock(s, s, 0, prog.block(0));
         lsq.storeResolve(0, s, 1, 0x900, 0, ValState::Final,
                          ValState::Final, 1, 0);
-        lsq.loadRequest(0, s, 0, 0x100, ValState::Final, 1, 0, {}, 0);
+        lsq.loadRequest(0, s, 0, 0x100, ValState::Final, 1, 0);
         lsq.commitBlock(1, s);
     }
     lsq.mapBlock(5, 5, 0, prog.block(0));
@@ -559,7 +559,7 @@ TEST(LsqOrder, OlderUnresolvedIsInProgramOrderAcrossBlocks)
     lsq.mapBlock(8, 8, 0, prog.block(0));
     lsq.storeResolve(2, 6, 1, 0x300, 0, ValState::Final,
                      ValState::Final, 1, 0);
-    lsq.loadRequest(3, 8, 0, 0x100, ValState::Final, 1, 0, {}, 0);
+    lsq.loadRequest(3, 8, 0, 0x100, ValState::Final, 1, 0);
 
     std::vector<std::pair<DynBlockSeq, Lsid>> got;
     for (const pred::UnresolvedStore &u : policy.older)
@@ -568,7 +568,7 @@ TEST(LsqOrder, OlderUnresolvedIsInProgramOrderAcrossBlocks)
         {5, 1}, {6, 0}, {6, 2}};
     EXPECT_EQ(got, want);
     // A load's own block contributes only older LSIDs.
-    lsq.loadRequest(4, 6, 3, 0x100, ValState::Final, 1, 0, {}, 0);
+    lsq.loadRequest(4, 6, 3, 0x100, ValState::Final, 1, 0);
     got.clear();
     for (const pred::UnresolvedStore &u : policy.older)
         got.emplace_back(u.seq, u.lsid);

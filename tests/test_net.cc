@@ -455,11 +455,17 @@ TEST(MeshQueue, RandomDifferentialAgainstPriorityQueue)
                 ASSERT_FALSE(ref.empty());
                 auto [t, s, id] = ref.top();
                 ref.pop();
-                EXPECT_EQ(v, id);
                 EXPECT_LE(t, now);
                 ++delivered;
-                if (rng.below(5) == 0)
+                // Sends from inside, sometimes a burst that outgrows
+                // the queue's pool; the message handed in must stay
+                // intact through them.
+                unsigned sends = rng.below(5) == 0    ? 1
+                                 : rng.below(40) == 0 ? 12
+                                                      : 0;
+                for (unsigned k = 0; k < sends; ++k)
                     send(now - std::min<Cycle>(now, rng.below(3)));
+                EXPECT_EQ(v, id);
             });
             EXPECT_TRUE(ref.empty() || std::get<0>(ref.top()) > now);
             ASSERT_EQ(mesh.inFlight(), ref.size());

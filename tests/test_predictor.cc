@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "predictor/dependence.hh"
 #include "predictor/next_block.hh"
 #include "predictor/oracle.hh"
@@ -16,6 +17,32 @@
 
 namespace edge::pred {
 namespace {
+
+/**
+ * An OlderStores view over a hand-written list (oldest first): one
+ * window block per run of equal seqs, then the load's own block.
+ */
+struct OlderList
+{
+    explicit OlderList(const std::vector<UnresolvedStore> &list)
+    {
+        for (const UnresolvedStore &u : list) {
+            if (blocks.empty() || blocks.back().seq != u.seq)
+                blocks.push_back({u.seq, u.archIdx, u.block, 0});
+            blocks.back().unresolved |= std::uint32_t{1} << u.lsid;
+        }
+        blocks.push_back({}); // the load's block: nothing older in it
+    }
+
+    OlderStores
+    view() const
+    {
+        auto n = static_cast<unsigned>(blocks.size());
+        return {blocks.data(), sizeof(WindowBlock), n, 0, n, 0};
+    }
+
+    std::vector<WindowBlock> blocks;
+};
 
 TEST(NextBlock, LearnsAStableExit)
 {
@@ -87,7 +114,8 @@ class StoreSetsTest : public ::testing::Test
         q.seq = seq;
         q.block = blk;
         q.lsid = lsid;
-        q.olderUnresolved = &older;
+        OlderList list(older);
+        q.older = list.view();
         q.dep = dep;
         return pred.loadMustWait(q);
     }
@@ -218,7 +246,8 @@ TEST(OraclePredictor, WaitsExactlyOnTrueConflicts)
     q.lsid = 0;
     q.addr = 0x104;
     q.bytes = 4;
-    q.olderUnresolved = &older;
+    OlderList list(older);
+    q.older = list.view();
     EXPECT_TRUE(p.loadMustWait(q)); // store will overlap
 
     q.addr = 0x200; // disjoint address: no need to wait
@@ -236,7 +265,8 @@ TEST(OraclePredictor, IgnoresWrongPathBlocks)
     q.block = 99; // does not match the trace: wrong path
     q.addr = 0x104;
     q.bytes = 4;
-    q.olderUnresolved = &older;
+    OlderList list(older);
+    q.older = list.view();
     EXPECT_FALSE(p.loadMustWait(q));
     EXPECT_EQ(stats.counterValue("oracle.off_path"), 1u);
 }
@@ -249,9 +279,9 @@ TEST(Policies, BlindNeverWaits)
 {
     StatSet stats("t");
     auto p = makeDependencePredictor(DepPolicy::Blind, nullptr, stats);
-    std::vector<UnresolvedStore> older = {{1, 1, 0, 0}};
+    OlderList list({{1, 1, 0, 0}});
     LoadQuery q;
-    q.olderUnresolved = &older;
+    q.older = list.view();
     EXPECT_FALSE(p->loadMustWait(q));
     EXPECT_STREQ(p->name(), "blind");
 }
@@ -261,11 +291,12 @@ TEST(Policies, ConservativeWaitsForAnyUnresolvedStore)
     StatSet stats("t");
     auto p = makeDependencePredictor(DepPolicy::Conservative, nullptr,
                                      stats);
-    std::vector<UnresolvedStore> older = {{1, 1, 0, 0}};
+    OlderList list({{1, 1, 0, 0}});
     LoadQuery q;
-    q.olderUnresolved = &older;
+    q.older = list.view();
     EXPECT_TRUE(p->loadMustWait(q));
-    older.clear();
+    OlderList none({});
+    q.older = none.view();
     EXPECT_FALSE(p->loadMustWait(q));
 }
 
@@ -275,6 +306,142 @@ TEST(Policies, NamesRoundTrip)
     EXPECT_STREQ(depPolicyName(DepPolicy::Conservative), "conservative");
     EXPECT_STREQ(depPolicyName(DepPolicy::StoreSets), "store-sets");
     EXPECT_STREQ(depPolicyName(DepPolicy::Oracle), "oracle");
+}
+
+// ---------------------------------------------------------------------------
+// The older-store view every policy reads.
+// ---------------------------------------------------------------------------
+
+/** A ring entry with a tail, as the LSQ's blocks have. */
+struct PaddedBlock : WindowBlock
+{
+    std::uint64_t tail[5] = {};
+};
+
+/**
+ * Seeded synthetic windows on a wrapping ring: each policy's answer
+ * from the view must equal its answer from a list of older
+ * unresolved stores built the old way (block by block, the load's
+ * own block cut to lower LSIDs).
+ */
+TEST(OlderStoresView, PoliciesAnswerAsFromTheOldList)
+{
+    // A committed path of 32 blocks of static ids 0..3, each with
+    // eight memory ops; a window block with another id is off-path.
+    Rng rng(2024);
+    std::vector<compiler::BlockTrace> trace(32);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        trace[i].block = static_cast<BlockId>(i % 4);
+        for (unsigned l = 0; l < 8; ++l) {
+            trace[i].memOps.push_back(
+                {rng.chance(1, 2), 0x100 + 8 * rng.below(16),
+                 static_cast<std::uint8_t>(1u << rng.below(4)), 0});
+        }
+    }
+    OracleDb db(trace);
+    StatSet stats("t");
+    auto conservative =
+        makeDependencePredictor(DepPolicy::Conservative, nullptr, stats);
+    StoreSetsPredictor store_sets(StoreSetsParams{}, stats);
+    OraclePredictor oracle(db, stats);
+
+    unsigned any_windows = 0, dep_hits = 0, oracle_waits = 0;
+    for (unsigned trial = 0; trial < 4000; ++trial) {
+        auto size = static_cast<unsigned>(rng.range(1, 16));
+        auto head = static_cast<unsigned>(rng.below(size));
+        auto count = static_cast<unsigned>(rng.range(1, size));
+        std::vector<PaddedBlock> ring(size);
+        DynBlockSeq seq = rng.range(1, 50);
+        for (unsigned a = 0; a < count; ++a) {
+            PaddedBlock &b = ring[(head + a) % size];
+            b.seq = seq;
+            seq += rng.range(1, 3);
+            b.archIdx = rng.below(trace.size());
+            b.blockId = rng.chance(1, 5) ? 9 : trace[b.archIdx].block;
+            b.unresolved = static_cast<std::uint32_t>(
+                rng.next() & rng.next() & 0xff);
+        }
+        auto lsid = static_cast<Lsid>(rng.below(9));
+        std::uint32_t below = (std::uint32_t{1} << lsid) - 1;
+        OlderStores view(&ring[0], sizeof(PaddedBlock), size, head,
+                         count, below);
+
+        // The old list.
+        std::vector<UnresolvedStore> list;
+        for (unsigned a = 0; a < count; ++a) {
+            const PaddedBlock &b = ring[(head + a) % size];
+            std::uint32_t m = a + 1 == count ? b.unresolved & below
+                                             : b.unresolved;
+            for (Lsid l = 0; l < 32; ++l)
+                if (m >> l & 1)
+                    list.push_back({b.seq, b.archIdx, b.blockId, l});
+        }
+
+        std::vector<UnresolvedStore> walked;
+        view.anyOf([&](const UnresolvedStore &u) {
+            walked.push_back(u);
+            return false;
+        });
+        ASSERT_EQ(walked.size(), list.size());
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            EXPECT_EQ(walked[i].seq, list[i].seq);
+            EXPECT_EQ(walked[i].archIdx, list[i].archIdx);
+            EXPECT_EQ(walked[i].block, list[i].block);
+            EXPECT_EQ(walked[i].lsid, list[i].lsid);
+        }
+
+        // Conservative and the LSQ's replay hold: any older store.
+        const PaddedBlock &own = ring[(head + count - 1) % size];
+        LoadQuery q;
+        q.seq = own.seq;
+        q.archIdx = own.archIdx;
+        q.block = trace[own.archIdx].block; // on the committed path
+        q.lsid = lsid;
+        q.addr = 0x100 + 8 * rng.below(16);
+        q.bytes = 8;
+        q.older = view;
+        EXPECT_EQ(view.any(), !list.empty());
+        EXPECT_EQ(conservative->loadMustWait(q), !list.empty());
+        any_windows += !list.empty();
+
+        // Store sets: no captured dependence never waits; a captured
+        // one waits iff that store instance is in the list.
+        EXPECT_FALSE(store_sets.loadMustWait(q));
+        q.dep.valid = true;
+        if (!list.empty() && rng.chance(1, 2)) {
+            const UnresolvedStore &u = list[rng.below(list.size())];
+            q.dep.seq = u.seq;
+            q.dep.lsid = u.lsid;
+        } else {
+            q.dep.seq = ring[(head + rng.below(count)) % size].seq;
+            q.dep.lsid = static_cast<Lsid>(rng.below(9));
+        }
+        bool in_list = false;
+        for (const UnresolvedStore &u : list)
+            in_list |= u.seq == q.dep.seq && u.lsid == q.dep.lsid;
+        EXPECT_EQ(store_sets.loadMustWait(q), in_list);
+        dep_hits += in_list;
+
+        // Oracle: the old loop over the list.
+        bool conflict = false;
+        for (const UnresolvedStore &u : list) {
+            if (db.blockAt(u.archIdx) != u.block)
+                continue;
+            const OracleDb::MemOp *op = db.memOp(u.archIdx, u.lsid);
+            if (op && op->isStore &&
+                rangesOverlap(op->addr, op->bytes, q.addr, q.bytes)) {
+                conflict = true;
+                break;
+            }
+        }
+        EXPECT_EQ(oracle.loadMustWait(q), conflict);
+        oracle_waits += conflict;
+    }
+    // Every branch of every policy was exercised.
+    EXPECT_GT(any_windows, 100u);
+    EXPECT_LT(any_windows, 3900u);
+    EXPECT_GT(dep_hits, 100u);
+    EXPECT_GT(oracle_waits, 100u);
 }
 
 TEST(Ranges, OverlapEdgeCases)

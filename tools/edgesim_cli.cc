@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,78 @@
 using namespace edge;
 
 namespace {
+
+/** What a command line runs; a flag is read by some of these. */
+enum Mode : unsigned
+{
+    kSingle = 1, ///< one kernel under one config
+    kSweep = 2,  ///< --chaos-sweep
+    kFuzz = 4,   ///< --fuzz
+    kReplay = 8, ///< --replay
+};
+
+const char *
+modeName(Mode mode)
+{
+    switch (mode) {
+      case kSingle: return "a single-kernel run";
+      case kSweep:  return "--chaos-sweep";
+      case kFuzz:   return "--fuzz";
+      case kReplay: return "--replay";
+    }
+    return "?";
+}
+
+/** "A, B and C" for the modes in the mask. */
+std::string
+modeList(unsigned modes)
+{
+    std::vector<std::string> names;
+    for (Mode m : {kSingle, kSweep, kFuzz, kReplay})
+        if (modes & m)
+            names.emplace_back(modeName(m));
+    std::string out;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (i)
+            out += i + 1 == names.size() ? " and " : ", ";
+        out += names[i];
+    }
+    return out;
+}
+
+/**
+ * The modes that read each flag; edgesim refuses a flag its mode
+ * would drop. -j and the flags that print and exit are read
+ * everywhere; --cell-timeout-ms needs --isolate and is checked
+ * separately. A sweep always checks invariants, so it accepts
+ * --check-invariants.
+ */
+struct FlagReaders
+{
+    const char *flag;
+    unsigned modes;
+};
+const FlagReaders kFlagReaders[] = {
+    {"--kernel", kSingle | kSweep},
+    {"--config", kSingle | kSweep},
+    {"--iterations", kSingle | kSweep},
+    {"--seed", kSingle | kSweep},
+    {"--chaos-seed", kSingle},
+    {"--chaos-profile", kSingle | kSweep | kFuzz},
+    {"--check-invariants", kSingle | kSweep | kFuzz},
+    {"--mutate", kSingle | kSweep | kFuzz},
+    {"--mutate-node", kSingle | kSweep | kFuzz},
+    {"--stats", kSingle},
+    {"--set", kSingle},
+    {"--capture-repro", kSingle | kSweep},
+    {"--minimize", kSingle | kFuzz | kReplay},
+    {"--chaos-sweep", kSweep},
+    {"--fuzz", kFuzz},
+    {"--fuzz-seed", kFuzz},
+    {"--fuzz-chaos", kFuzz},
+    {"--corpus-dir", kFuzz},
+    {"--isolate", kSweep | kFuzz},
+};
 
 void
 usage()
@@ -356,9 +429,11 @@ main(int argc, char **argv)
     bool isolate = false;
     std::uint64_t cell_timeout_ms = 0;
     std::vector<std::pair<std::string, std::uint64_t>> overrides;
+    std::set<std::string> given; ///< every flag on the command line
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        given.insert(arg);
         auto next = [&]() -> const char * {
             fatal_if(i + 1 >= argc, "%s needs an argument",
                      arg.c_str());
@@ -455,20 +530,18 @@ main(int argc, char **argv)
 
     // Refuse a flag the selected mode would silently drop.
     const bool replay = !replay_path.empty();
-    const bool campaign = !replay && (fuzz_count > 0 || sweep_seeds > 0);
-    const char *mode = replay            ? "--replay"
-                       : fuzz_count > 0  ? "--fuzz"
-                       : sweep_seeds > 0 ? "--chaos-sweep"
-                                         : "a single-kernel run";
-    fatal_if(isolate && !campaign,
-             "--isolate is read only by --chaos-sweep and --fuzz, not "
-             "by %s", mode);
+    const Mode mode = replay            ? kReplay
+                      : fuzz_count > 0  ? kFuzz
+                      : sweep_seeds > 0 ? kSweep
+                                        : kSingle;
+    for (const FlagReaders &f : kFlagReaders) {
+        fatal_if(given.count(f.flag) && !(f.modes & mode),
+                 "%s is read only by %s, not by %s", f.flag,
+                 modeList(f.modes).c_str(), modeName(mode));
+    }
     fatal_if(cell_timeout_ms != 0 && !isolate,
              "--cell-timeout-ms is read only with --isolate (on "
              "--chaos-sweep or --fuzz)");
-    fatal_if(!overrides.empty() && (replay || campaign),
-             "--set is read only by a single-kernel run, not by %s",
-             mode);
 
     if (replay)
         return replayMain(replay_path, minimize, threads);
