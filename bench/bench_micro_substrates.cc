@@ -6,8 +6,9 @@
  * traffic, block construction + placement, functional reference
  * execution, an execution node's issue scan over a 16-frame window,
  * mapping a placed block onto the grid and clearing it again,
- * the LSQ's two hot paths (store resolution over a full window,
- * policy-gated load issue), and a full end-to-end simulated kernel.
+ * the register unit over a full window, the LSQ's two hot paths
+ * (store resolution over a full window, policy-gated load issue), and
+ * a full end-to-end simulated kernel.
  * These guard against accidental slowdowns of the simulator.
  */
 
@@ -20,6 +21,7 @@
 #include "compiler/placement.hh"
 #include "compiler/ref_executor.hh"
 #include "core/exec_node.hh"
+#include "core/reg_unit.hh"
 #include "lsq/lsq.hh"
 #include "mem/cache.hh"
 #include "mem/sparse_memory.hh"
@@ -337,6 +339,57 @@ BM_LsqLoadIssueWithOlderUnresolved(benchmark::State &state)
                             LsqWindow::kFrames * LsqWindow::kPairs);
 }
 BENCHMARK(BM_LsqLoadIssueWithOlderUnresolved);
+
+static void
+BM_RegUnitWindow(benchmark::State &state)
+{
+    // A full 16-frame window of two alternating shapes that both read
+    // r1-r4: one writes r1-r4, the other r5-r8. So every read after
+    // the first block subscribes across blocks, and half of them skip
+    // a younger block that does not write the register. Each iteration
+    // maps the window, delivers every write Spec and then as a Final
+    // upgrade, and commits oldest first.
+    constexpr unsigned kFrames = 16;
+    constexpr unsigned kRegs = 4;
+    compiler::ProgramBuilder pb("regs");
+    for (unsigned shape = 0; shape < 2; ++shape) {
+        auto &b = pb.newBlock(shape == 0 ? "low" : "high");
+        for (unsigned r = 1; r <= kRegs; ++r)
+            b.writeReg(r + shape * kRegs, b.addi(b.readReg(r), 1));
+        b.branchHalt();
+    }
+    isa::Program prog = pb.build();
+    core::CoreParams params;
+    params.numFrames = kFrames;
+    StatSet stats("bm");
+    core::RegUnit unit(params, prog.initRegs(), stats);
+    std::vector<core::RegForward> &out = unit.forwards();
+    DynBlockSeq seq = 1;
+    Cycle now = 0;
+    for (auto _ : state) {
+        DynBlockSeq first = seq;
+        for (unsigned f = 0; f < kFrames; ++f, ++seq) {
+            unit.mapBlock(now, seq, prog.block(f % 2));
+            out.clear();
+        }
+        for (DynBlockSeq s = first; s < seq; ++s) {
+            for (unsigned w = 0; w < kRegs; ++w) {
+                unit.writeArrived(++now, s, w, s + w, ValState::Spec, 1, 0);
+                out.clear();
+                unit.writeArrived(++now, s, w, s + w, ValState::Final, 2,
+                                  0);
+                out.clear();
+            }
+        }
+        for (DynBlockSeq s = first; s < seq; ++s) {
+            benchmark::DoNotOptimize(unit.blockWritesFinal(s, true));
+            unit.commitBlock(s);
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            kFrames);
+}
+BENCHMARK(BM_RegUnitWindow);
 
 static void
 BM_EndToEndSimulatedKernel(benchmark::State &state)

@@ -19,6 +19,7 @@ Processor::Processor(const MachineConfig &config,
       _stats(stats),
       _geom{config.core.rows, config.core.cols, config.core.slotsPerNode},
       _trace(config.traceDepth),
+      _inflight(config.core.numFrames),
       _livelock(config.core.livelockInterval,
                 config.core.livelockRepeats),
       _statCommittedBlocks(stats.counter("core.committed_blocks",
@@ -148,10 +149,7 @@ Processor::findCtx(DynBlockSeq seq)
         return hit;
     // Not indexed: flushed, or its index entry went to a younger
     // block with the same seq modulo kCtxIndex.
-    for (BlockCtx &ctx : _inflight)
-        if (ctx.seq == seq)
-            return &ctx;
-    return nullptr;
+    return _inflight.find(seq);
 }
 
 void
@@ -440,12 +438,12 @@ void
 Processor::flushFrom(DynBlockSeq from_seq, bool lsq_flushed)
 {
     _trace.push({_cycle, chaos::TraceEvent::Kind::Flush, from_seq});
-    while (!_inflight.empty() && _inflight.back().seq >= from_seq) {
-        BlockCtx &ctx = _inflight.back();
+    while (!_inflight.empty() && _inflight.youngest().seq >= from_seq) {
+        BlockCtx &ctx = _inflight.youngest();
         clearFrame(ctx);
         _freeFrames.push_back(ctx.frame);
         retireCtx(ctx);
-        _inflight.pop_back();
+        _inflight.popYoung();
     }
     if (!lsq_flushed)
         _lsq->flushFrom(from_seq);
@@ -506,7 +504,11 @@ Processor::mapFetchedBlock(Cycle now)
     BlockId bid = _fetchBlock;
     const isa::Block &b = _prog.block(bid);
 
-    BlockCtx ctx;
+    // The context is visible from here on, before the LSQ and the
+    // register unit map the block: register reads can forward
+    // immediately.
+    BlockCtx &ctx = _inflight.pushYoung();
+    ctx = BlockCtx{};
     ctx.seq = _nextSeq++;
     ctx.blockId = bid;
     ctx.archIdx = _nextArchIdx++;
@@ -514,6 +516,7 @@ Processor::mapFetchedBlock(Cycle now)
     ctx.block = &b;
     const compiler::Placement &pl = (*_placements)[bid];
     ctx.placement = &pl;
+    _ctxBySeq[ctx.seq % kCtxIndex] = &ctx;
     for (std::size_t s = 0; s < b.insts().size(); ++s) {
         _nodes[pl.nodeOf[s]].mapInst(frame, pl.localOf[s], ctx.seq,
                                      static_cast<SlotId>(s),
@@ -530,14 +533,9 @@ Processor::mapFetchedBlock(Cycle now)
     ctx.historySnapshot = _nbp->pushSpeculativeHistory(e);
 
     BlockId succ = b.exits()[e];
-    DynBlockSeq seq = ctx.seq;
-    // The context must be visible before the LSQ / register unit
-    // map the block: register reads can forward immediately.
-    _inflight.push_back(std::move(ctx));
-    _ctxBySeq[seq % kCtxIndex] = &_inflight.back();
     ++_statFetchedBlocks;
-    _lsq->mapBlock(seq, _inflight.back().archIdx, bid, b);
-    _regs->mapBlock(now, seq, b);
+    _lsq->mapBlock(ctx.seq, ctx.archIdx, bid, b);
+    _regs->mapBlock(now, ctx.seq, b);
     drainRegs();
 
     if (succ == isa::kHaltBlock)
@@ -552,7 +550,7 @@ Processor::commitTick(Cycle now)
 {
     if (_inflight.empty())
         return false;
-    BlockCtx &ctx = _inflight.front();
+    BlockCtx &ctx = _inflight.oldest();
     bool need_final = _cfg.lsq.recovery == lsq::Recovery::Dsre;
 
     bool exit_ok = ctx.exitSeen &&
@@ -598,7 +596,7 @@ Processor::commitTick(Cycle now)
 
     BlockId succ = ctx.block->exits()[actual];
     retireCtx(ctx);
-    _inflight.pop_front();
+    _inflight.popOldest();
 
     if (succ == isa::kHaltBlock)
         _halted = true;
@@ -619,14 +617,15 @@ Processor::machineDump(Cycle now)
         _mesh->inFlight());
     dump += strfmt("  fetchBlock=%u fetchReady=%llu\n", _fetchBlock,
                    static_cast<unsigned long long>(_fetchReady));
-    for (const BlockCtx &ctx : _inflight) {
+    for (unsigned a = 0; a < _inflight.size(); ++a) {
+        const BlockCtx &ctx = _inflight.at(a);
         dump += strfmt(
             "  seq %llu block %u (%s) frame %u exitSeen=%d\n",
             static_cast<unsigned long long>(ctx.seq), ctx.blockId,
             ctx.block->name().c_str(), ctx.frame, ctx.exitSeen);
     }
     if (!_inflight.empty()) {
-        const BlockCtx &o = _inflight.front();
+        const BlockCtx &o = _inflight.oldest();
         bool nf = _cfg.lsq.recovery == lsq::Recovery::Dsre;
         dump += strfmt(
             "oldest: exitSeen=%d exitFinal=%d writesOk=%d memOk=%d\n",
@@ -653,7 +652,7 @@ Processor::watchdogDump(Cycle now)
     err.message = "deadlock watchdog fired:\n" + machineDump(now);
     err.cycle = now;
     if (!_inflight.empty())
-        err.seq = _inflight.front().seq;
+        err.seq = _inflight.oldest().seq;
     err.trace = _trace.snapshot();
     return err;
 }
@@ -674,7 +673,7 @@ Processor::livelockDump(Cycle now)
     err.message += machineDump(now);
     err.cycle = now;
     if (!_inflight.empty())
-        err.seq = _inflight.front().seq;
+        err.seq = _inflight.oldest().seq;
     err.trace = _trace.snapshot();
     return err;
 }
@@ -739,15 +738,18 @@ Processor::runEvent(Cycle max_cycles, Result &res)
     // Wake-list engine. Every cycle that the ticking loop would have
     // processed *non-inertly* is either (a) a mesh/GCN arrival cycle,
     // (b) the cycle after an active one (local state changed, so
-    // fetch/commit/nodes may act), or (c) a registered wake (fetch
-    // completion, watchdog fire, livelock sample). Everything else is
-    // provably inert — node ticks with no want-bits, fetch with no
-    // state change, commit with unchanged finality have zero side
-    // effects — so skipping those cycles is observably identical to
-    // ticking through them (see DESIGN.md "Event-driven cycle
-    // engine"). Stale wakes merely cause one inert processed cycle.
+    // fetch/commit/nodes may act), (c) a registered wake (fetch
+    // completion, livelock sample) or (d) the watchdog deadline.
+    // Everything else is provably inert — node ticks with no
+    // want-bits, fetch with no state change, commit with unchanged
+    // finality have zero side effects — so skipping those cycles is
+    // observably identical to ticking through them (see DESIGN.md
+    // "Event-driven cycle engine"). Stale wakes merely cause one
+    // inert processed cycle.
+    // The watchdog fires the first cycle where now - lastCommit
+    // exceeds the budget; only the latest deadline counts, so (d) is
+    // read from _lastCommit rather than queued once per commit.
     Scheduler sched;
-    sched.wakeAt(_lastCommit + _cfg.core.watchdogCycles + 1);
     if (_livelock.enabled())
         sched.wakeAt(_livelock.interval());
     if (_fetchBusy)
@@ -778,12 +780,8 @@ Processor::runEvent(Cycle max_cycles, Result &res)
             active = true;
         if (_fetchBusy)
             sched.wakeAt(_fetchReady);
-        if (commitTick(_cycle)) {
+        if (commitTick(_cycle))
             active = true;
-            // The watchdog deadline moved: it fires the first cycle
-            // where now - lastCommit exceeds the budget.
-            sched.wakeAt(_lastCommit + _cfg.core.watchdogCycles + 1);
-        }
         if (_cycle - _lastCommit > _cfg.core.watchdogCycles) {
             res.error = watchdogDump(_cycle);
             break;
@@ -804,8 +802,9 @@ Processor::runEvent(Cycle max_cycles, Result &res)
         Cycle next = _cycle + 1;
         if (!active) {
             Cycle wake = std::min(
-                sched.nextAtOrAfter(next),
-                std::min(_mesh->nextArrival(), _gcn->nextArrival()));
+                {sched.nextAtOrAfter(next),
+                 _lastCommit + _cfg.core.watchdogCycles + 1,
+                 _mesh->nextArrival(), _gcn->nextArrival()});
             next = std::max(next, std::min(wake, max_cycles));
         }
         _cycle = next;

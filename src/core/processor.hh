@@ -12,7 +12,6 @@
 #define EDGE_CORE_PROCESSOR_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "chaos/progress.hh"
 #include "chaos/sim_error.hh"
 #include "chaos/trace_ring.hh"
+#include "common/frame_ring.hh"
 #include "compiler/placement.hh"
 #include "core/exec_node.hh"
 #include "core/msg.hh"
@@ -307,13 +307,13 @@ class Processor
     std::uint64_t _readyNodes = 0;
 
     // --- dynamic state -----------------------------------------------------
-    std::deque<BlockCtx> _inflight; ///< oldest first
+    FrameRing<BlockCtx> _inflight; ///< oldest first, numFrames slots
     static constexpr std::size_t kCtxIndex = 256;
     /**
      * findCtx's direct-mapped index: entry seq % kCtxIndex points at
      * the youngest in-flight block mapped with that residue, or is
-     * null. A deque keeps its elements in place on push_back and on
-     * pops at either end, so an entry stays valid until retireCtx.
+     * null. Ring slots never move, so an entry stays valid until
+     * retireCtx.
      */
     std::array<BlockCtx *, kCtxIndex> _ctxBySeq{};
     std::vector<unsigned> _freeFrames;

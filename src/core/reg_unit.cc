@@ -10,6 +10,7 @@ RegUnit::RegUnit(const CoreParams &params,
                  const std::vector<Word> &init_regs, StatSet &stats)
     : _p(params),
       _regs(init_regs),
+      _window(params.numFrames),
       _bankFree(params.cols, 0),
       _archReads(stats.counter("regs.arch_reads",
                                "reads satisfied from the committed RF")),
@@ -58,25 +59,24 @@ RegUnit::forwardTo(Cycle now, Subscription &sub, Word value,
 void
 RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
 {
-    panic_if(_blocks.count(seq), "register map of seq twice");
+    panic_if(_window.full(), "register window full at seq %llu",
+             static_cast<unsigned long long>(seq));
+    panic_if(!_window.empty() && _window.youngest().seq >= seq,
+             "register map of seq %llu twice or out of order",
+             static_cast<unsigned long long>(seq));
 
-    // Resolve the reads *before* inserting our own writes so a block
+    // Resolve the reads *before* claiming our own frame so a block
     // never forwards from itself.
     for (std::size_t r = 0; r < block.reads().size(); ++r) {
         const isa::RegRead &rd = block.reads()[r];
         // Youngest older in-flight writer of this register.
-        BlockRegs *writer = nullptr;
-        std::size_t write_idx = 0;
-        for (auto it = _blocks.rbegin(); it != _blocks.rend(); ++it) {
-            for (std::size_t w = 0; w < it->second.writes.size(); ++w) {
-                if (it->second.writes[w].reg == rd.reg) {
-                    writer = &it->second;
-                    write_idx = w;
-                    break;
-                }
-            }
-            if (writer)
+        Frame *writer = nullptr;
+        for (unsigned a = _window.size(); a-- > 0;) {
+            Frame &f = _window.at(a);
+            if ((f.writesReg >> rd.reg) & 1) {
+                writer = &f;
                 break;
+            }
         }
         Subscription sub;
         sub.readerSeq = seq;
@@ -91,21 +91,34 @@ RegUnit::mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block)
             continue;
         }
         ++_forwardReads;
-        WriteSlot &ws = writer->writes[write_idx];
-        writer->subscribers[write_idx].push_back(sub);
+        WriteSlot &ws = writer->writes[writer->writeOf[rd.reg]];
+        ws.subscribers.push_back(sub);
         if (ws.seen) {
-            forwardTo(now, writer->subscribers[write_idx].back(),
-                      ws.value, ws.state, ws.depth, false);
+            forwardTo(now, ws.subscribers.back(), ws.value, ws.state,
+                      ws.depth, false);
         }
     }
 
-    BlockRegs br;
-    br.block = &block;
-    br.writes.resize(block.writes().size());
-    br.subscribers.resize(block.writes().size());
-    for (std::size_t w = 0; w < block.writes().size(); ++w)
-        br.writes[w].reg = block.writes()[w].reg;
-    _blocks.emplace(seq, std::move(br));
+    Frame &f = _window.pushYoung();
+    f.seq = seq;
+    f.writesReg = 0;
+    f.numWrites = f.unseen = f.nonFinal =
+        static_cast<std::uint8_t>(block.writes().size());
+    for (unsigned w = 0; w < f.numWrites; ++w) {
+        WriteSlot &ws = f.writes[w];
+        ws.reg = block.writes()[w].reg;
+        ws.seen = false;
+        ws.value = 0;
+        ws.state = ValState::Spec;
+        ws.wave = 0;
+        ws.depth = 0;
+        ws.subscribers.clear();
+        // A reader takes the first write of its register.
+        if (!((f.writesReg >> ws.reg) & 1)) {
+            f.writesReg |= std::uint64_t{1} << ws.reg;
+            f.writeOf[ws.reg] = static_cast<std::uint8_t>(w);
+        }
+    }
 }
 
 void
@@ -113,12 +126,11 @@ RegUnit::writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
                       Word value, ValState state, std::uint32_t wave,
                       std::uint16_t depth)
 {
-    auto it = _blocks.find(seq);
-    if (it == _blocks.end())
+    Frame *f = _window.find(seq);
+    if (!f)
         return; // flushed block: stale message
-    panic_if(write_idx >= it->second.writes.size(),
-             "write index out of range");
-    WriteSlot &ws = it->second.writes[write_idx];
+    panic_if(write_idx >= f->numWrites, "write index out of range");
+    WriteSlot &ws = f->writes[write_idx];
 
     // The data and status networks can reorder messages from the
     // same producer; waves are per-producer monotonic, so anything
@@ -137,6 +149,8 @@ RegUnit::writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
     if (ws.seen && value_changed)
         ++_rewrites;
 
+    // Past the checks above the write is not Final yet: a Final
+    // write either panics on a change or is a duplicate.
     bool first = !ws.seen;
     ws.seen = true;
     ws.value = value;
@@ -145,49 +159,49 @@ RegUnit::writeArrived(Cycle now, DynBlockSeq seq, unsigned write_idx,
     else if (first || value_changed)
         ws.state = state;
     ws.depth = depth;
+    f->unseen -= first;
+    f->nonFinal -= ws.state == ValState::Final;
 
     bool status_only = !first && !value_changed && state_up;
-    for (Subscription &sub : it->second.subscribers[write_idx])
+    for (Subscription &sub : ws.subscribers)
         forwardTo(now, sub, ws.value, ws.state, ws.depth, status_only);
 }
 
 bool
 RegUnit::blockWritesFinal(DynBlockSeq seq, bool need_final) const
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "blockWritesFinal on unknown seq");
-    for (const WriteSlot &ws : it->second.writes) {
-        if (!ws.seen)
-            return false;
-        if (need_final && ws.state != ValState::Final)
-            return false;
-    }
-    return true;
+    const Frame *f = _window.find(seq);
+    panic_if(!f, "blockWritesFinal on unknown seq");
+    return f->unseen == 0 && (!need_final || f->nonFinal == 0);
 }
 
 void
 RegUnit::commitBlock(DynBlockSeq seq)
 {
-    auto it = _blocks.find(seq);
-    panic_if(it == _blocks.end(), "commit of unknown seq");
-    panic_if(it != _blocks.begin(), "register commit out of order");
-    for (const WriteSlot &ws : it->second.writes) {
+    const Frame *f = _window.find(seq);
+    panic_if(!f, "commit of unknown seq");
+    panic_if(f != &_window.oldest(), "register commit out of order");
+    for (unsigned w = 0; w < f->numWrites; ++w) {
+        const WriteSlot &ws = f->writes[w];
         panic_if(!ws.seen, "commit with a missing write value");
         _regs[ws.reg] = ws.value;
     }
-    _blocks.erase(it);
+    _window.popOldest();
 }
 
 void
 RegUnit::flushFrom(DynBlockSeq from_seq)
 {
-    _blocks.erase(_blocks.lower_bound(from_seq), _blocks.end());
+    while (!_window.empty() && _window.youngest().seq >= from_seq)
+        _window.popYoung();
     // Remove subscriptions from squashed readers.
-    for (auto &[seq, br] : _blocks) {
-        for (auto &subs : br.subscribers) {
-            std::erase_if(subs, [&](const Subscription &s) {
-                return s.readerSeq >= from_seq;
-            });
+    for (unsigned a = 0; a < _window.size(); ++a) {
+        Frame &f = _window.at(a);
+        for (unsigned w = 0; w < f.numWrites; ++w) {
+            std::erase_if(f.writes[w].subscribers,
+                          [&](const Subscription &s) {
+                              return s.readerSeq >= from_seq;
+                          });
         }
     }
 }

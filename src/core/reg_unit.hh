@@ -7,14 +7,22 @@
  * that writes the register — in which case the reader subscribes and
  * receives every wave the writer produces, so DSRE waves and the
  * commit wave propagate across block boundaries.
+ *
+ * The in-flight blocks sit in a ring of `numFrames` entries, oldest
+ * first, each with a fixed array of write slots, a mask of the
+ * registers the block writes and counts of its unseen and non-Final
+ * writes (DESIGN.md "The register unit"). Mapping, committing and
+ * flushing a block allocate nothing once the subscriber vectors have
+ * grown to the window's fan-out.
  */
 
 #ifndef EDGE_CORE_REG_UNIT_HH
 #define EDGE_CORE_REG_UNIT_HH
 
-#include <map>
+#include <array>
 #include <vector>
 
+#include "common/frame_ring.hh"
 #include "common/stats.hh"
 #include "core/params.hh"
 #include "isa/block.hh"
@@ -47,6 +55,7 @@ class RegUnit
     /**
      * A block entered the window: resolve every register read
      * (forward immediately or subscribe) and register its writes.
+     * Panics when all `numFrames` entries are in flight.
      */
     void mapBlock(Cycle now, DynBlockSeq seq, const isa::Block &block);
 
@@ -66,7 +75,7 @@ class RegUnit
 
     const std::vector<Word> &archRegs() const { return _regs; }
 
-    std::size_t numBlocks() const { return _blocks.size(); }
+    std::size_t numBlocks() const { return _window.size(); }
 
     /**
      * Forwards emitted since the owner last cleared this list, in
@@ -76,16 +85,6 @@ class RegUnit
     std::vector<RegForward> &forwards() { return _forwards; }
 
   private:
-    struct WriteSlot
-    {
-        std::uint8_t reg = 0;
-        bool seen = false;
-        Word value = 0;
-        ValState state = ValState::Spec;
-        std::uint32_t wave = 0; ///< drop stale (reordered) arrivals
-        std::uint16_t depth = 0;
-    };
-
     struct Subscription
     {
         DynBlockSeq readerSeq = 0;
@@ -95,12 +94,33 @@ class RegUnit
         Cycle lastWhen = 0;     ///< upgrades may not overtake data
     };
 
-    struct BlockRegs
+    struct WriteSlot
     {
-        const isa::Block *block = nullptr;
-        std::vector<WriteSlot> writes;
-        /** Readers subscribed to each write slot. */
-        std::vector<std::vector<Subscription>> subscribers;
+        std::uint8_t reg = 0;
+        bool seen = false;
+        Word value = 0;
+        ValState state = ValState::Spec;
+        std::uint32_t wave = 0; ///< drop stale (reordered) arrivals
+        std::uint16_t depth = 0;
+        /** Readers subscribed to this write; cleared, never freed,
+         *  when the frame is reused. */
+        std::vector<Subscription> subscribers;
+    };
+
+    static_assert(isa::kNumArchRegs <= 64, "one mask bit per register");
+
+    /** One in-flight block. */
+    struct Frame
+    {
+        DynBlockSeq seq = 0;
+        /** Bit r set iff the block writes register r. */
+        std::uint64_t writesReg = 0;
+        std::uint8_t numWrites = 0;
+        std::uint8_t unseen = 0;   ///< writes that have not arrived
+        std::uint8_t nonFinal = 0; ///< writes not Final (unseen too)
+        /** The write slot of each register in `writesReg`. */
+        std::array<std::uint8_t, isa::kNumArchRegs> writeOf{};
+        std::array<WriteSlot, isa::kMaxBlockWrites> writes;
     };
 
     /** Charge a register-bank port; returns the start cycle. */
@@ -112,7 +132,7 @@ class RegUnit
 
     const CoreParams &_p;
     std::vector<Word> _regs;
-    std::map<DynBlockSeq, BlockRegs> _blocks;
+    FrameRing<Frame> _window;
     std::vector<Cycle> _bankFree;
 
     std::vector<RegForward> _forwards;

@@ -3,17 +3,18 @@
  * Wake-list scheduler for the event-driven cycle engine: a calendar
  * wheel of pending wake-up cycles plus a min-heap overflow for wakes
  * beyond the wheel's horizon. Components register the cycles at
- * which they could next do work (fetch completion, watchdog fire,
- * livelock sample); the run loop jumps straight to the earliest wake
- * instead of ticking through dead cycles.
+ * which they could next do work (fetch completion, livelock sample);
+ * the run loop jumps straight to the earliest wake, or the watchdog
+ * deadline if that is earlier, instead of ticking through dead
+ * cycles.
  *
  * Wakes are idempotent markers ("something may happen at cycle c"),
  * not event payloads — registering the same cycle twice is free, and
  * a stale wake merely causes one processed-but-inert cycle, which is
  * observably identical to the ticking loop by construction. The
  * near window (1024 cycles) covers every latency in the machine
- * (hops, ALU, cache); only the watchdog and livelock horizons land
- * in the overflow heap.
+ * (hops, ALU, cache); only the livelock horizon lands in the
+ * overflow heap.
  */
 
 #ifndef EDGE_CORE_SCHEDULER_HH

@@ -72,34 +72,36 @@ LoadStoreQueue::LoadStoreQueue(const LsqParams &params,
     if (_p.valuePredictMisses)
         _vpTable.assign(_p.vpTableSize, VpEntry{});
     // About four buckets per op the window can hold.
-    _index.resize(std::bit_ceil(num_frames * isa::kMaxBlockMemOps * 4));
-    _indexMask = _index.size() - 1;
-}
-
-LoadStoreQueue::Block *
-LoadStoreQueue::findBlock(DynBlockSeq seq) const
-{
-    for (unsigned a = 0; a < _count; ++a)
-        if (at(a).seq == seq)
-            return &at(a);
-    return nullptr;
+    _bucketHead.assign(
+        std::bit_ceil(num_frames * isa::kMaxBlockMemOps * 4), kNil);
+    _indexMask = _bucketHead.size() - 1;
+    _links.resize(num_frames * isa::kMaxBlockMemOps * 2);
 }
 
 void
 LoadStoreQueue::index(const Block &b, Lsid lsid, bool add)
 {
     const MemEntry &e = b.entries[lsid];
-    auto id = static_cast<std::uint16_t>((&b - _ring.data()) << 5 | lsid);
-    forBuckets(e.addr, e.bytes, [&](std::vector<std::uint16_t> &bucket) {
+    std::uint32_t id = _ring.slotOf(b) << 5 | lsid;
+    Addr word = e.addr >> 3;
+    for (unsigned k = 0; k <= straddles(e.addr, e.bytes); ++k) {
+        std::uint32_t node = id << 1 | k;
+        std::uint32_t &head = _bucketHead[bucketOf(word + k)];
+        Link &l = _links[node];
         if (add) {
-            bucket.push_back(id);
-            return;
+            l.prev = kNil;
+            l.next = head;
+            if (head != kNil)
+                _links[head].prev = node;
+            head = node;
+            continue;
         }
-        auto it = std::find(bucket.begin(), bucket.end(), id);
-        panic_if(it == bucket.end(), "LSQ address index lost an op");
-        *it = bucket.back();
-        bucket.pop_back();
-    });
+        panic_if(l.prev == kUnlinked, "LSQ address index lost an op");
+        (l.prev != kNil ? _links[l.prev].next : head) = l.next;
+        if (l.next != kNil)
+            _links[l.next].prev = l.prev;
+        l.prev = l.next = kUnlinked;
+    }
 }
 
 void
@@ -113,10 +115,7 @@ void
 LoadStoreQueue::gather(Addr addr, unsigned bytes,
                        std::vector<std::uint32_t> &out) const
 {
-    forBuckets(addr, bytes, [&](const std::vector<std::uint16_t> &bucket) {
-        for (std::uint16_t id : bucket)
-            out.push_back(ageKey(_ring[id >> 5], id & 31));
-    });
+    forIds(addr, bytes, [&](std::uint16_t id) { out.push_back(idKey(id)); });
     // An op on both words, or two words sharing a bucket, repeats.
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -153,16 +152,16 @@ void
 LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
                          BlockId block_id, const isa::Block &block)
 {
-    panic_if(_count == _ring.size(), "LSQ window full at seq %llu",
+    panic_if(_ring.full(), "LSQ window full at seq %llu",
              static_cast<unsigned long long>(seq));
-    panic_if(_count != 0 && at(_count - 1).seq >= seq,
+    panic_if(!_ring.empty() && _ring.youngest().seq >= seq,
              "block seq %llu mapped twice or out of order",
              static_cast<unsigned long long>(seq));
-    Block &b = at(_count);
+    Block &b = _ring.pushYoung();
     b.seq = seq;
     b.archIdx = arch_idx;
     b.blockId = block_id;
-    b.ops = b.stores = b.performed = b.spec = b.waiting = 0;
+    b.ops = b.stores = b.performed = b.spec = b.recheck = b.waiting = 0;
     // One walk: only the entries of the block's own LSIDs are reset.
     for (std::size_t s = 0; s < block.insts().size(); ++s) {
         const auto &in = block.insts()[s];
@@ -186,16 +185,13 @@ LoadStoreQueue::mapBlock(DynBlockSeq seq, std::uint64_t arch_idx,
     }
     b.unresolved = b.stores;
     b.specAddr = b.specData = _spec ? b.stores : 0;
-    ++_count;
 }
 
 pred::OlderStores
 LoadStoreQueue::olderStores(const Block &b, Lsid lsid) const
 {
-    auto slot = static_cast<unsigned>(&b - _ring.data());
-    unsigned age = (slot + _ring.size() - _head) % _ring.size();
-    return {_ring.data(), sizeof(Block), static_cast<unsigned>(_ring.size()),
-            _head, age + 1, below(lsid)};
+    return {_ring.data(), sizeof(Block), _ring.capacity(), _ring.head(),
+            _ring.ageOf(b) + 1, below(lsid)};
 }
 
 Word
@@ -255,8 +251,7 @@ LoadStoreQueue::loadIsFinal(const Block &b, Lsid lsid) const
 {
     if (!_spec)
         return true;
-    const MemEntry &e = b.entries[lsid];
-    if (e.addrState != ValState::Final)
+    if (b.entries[lsid].addrState != ValState::Final)
         return false;
     // A load is final when no older store can still change it:
     // every older store must be resolved with a Final address, and
@@ -269,18 +264,34 @@ LoadStoreQueue::loadIsFinal(const Block &b, Lsid lsid) const
         if (&o == &b)
             break;
     }
+    return dataFinal(b, lsid);
+}
+
+bool
+LoadStoreQueue::dataFinal(const Block &b, Lsid lsid) const
+{
+    const MemEntry &e = b.entries[lsid];
+    if (e.addrState != ValState::Final)
+        return false;
     std::uint32_t self = ageKey(b, lsid);
     bool spec_overlap = false;
-    forBuckets(e.addr, e.bytes, [&](const std::vector<std::uint16_t> &bk) {
-        for (std::uint16_t id : bk) {
-            const Block &o = _ring[id >> 5];
-            auto l = static_cast<Lsid>(id & 31);
-            const MemEntry &st = o.entries[l];
-            spec_overlap |= (o.specData & bit(l)) && ageKey(o, l) < self &&
-                            rangesOverlap(st.addr, st.bytes, e.addr, e.bytes);
-        }
+    forIds(e.addr, e.bytes, [&](std::uint16_t id) {
+        const Block &o = _ring.inSlot(id >> 5);
+        auto l = static_cast<Lsid>(id & 31);
+        const MemEntry &st = o.entries[l];
+        spec_overlap |= (o.specData & bit(l)) && idKey(id) < self &&
+                        rangesOverlap(st.addr, st.bytes, e.addr, e.bytes);
     });
     return !spec_overlap;
+}
+
+void
+LoadStoreQueue::recheckLoadsOn(Addr addr, unsigned bytes)
+{
+    forIds(addr, bytes, [&](std::uint16_t id) {
+        Block &o = _ring.inSlot(id >> 5);
+        o.recheck |= o.spec & bit(id & 31);
+    });
 }
 
 void
@@ -340,7 +351,7 @@ LoadStoreQueue::loadRequest(Cycle now, DynBlockSeq seq, Lsid lsid,
             // the resend budget (it IS the commit wave).
             e.deferred = false;
             ++_resends;
-            performLoad(now, b, lsid, true, depth);
+            performLoad(now, b, lsid, true, depth, true);
             return;
         }
         if (_p.maxResendsPerLoad != 0 &&
@@ -351,11 +362,11 @@ LoadStoreQueue::loadRequest(Cycle now, DynBlockSeq seq, Lsid lsid,
         }
         ++e.resends;
         ++_resends;
-        performLoad(now, b, lsid, true, depth);
+        performLoad(now, b, lsid, true, depth, false);
     } else if (final_now && e.lastState != ValState::Final) {
         ++_upgrades;
         e.deferred = false;
-        performLoad(now, b, lsid, true, depth);
+        performLoad(now, b, lsid, true, depth, true);
     }
 }
 
@@ -376,23 +387,27 @@ LoadStoreQueue::tryIssueLoad(Cycle now, Block &b, Lsid lsid)
     if (replay_wait || _policy->loadMustWait(q)) {
         if (!(b.waiting & bit(lsid))) {
             b.waiting |= bit(lsid);
+            ++_numWaiting;
             ++(replay_wait ? _replayWaits : _policyHolds);
         }
         return;
     }
-    b.waiting &= ~bit(lsid);
-    performLoad(now, b, lsid, false, e.depth);
+    if (b.waiting & bit(lsid)) {
+        b.waiting &= ~bit(lsid);
+        --_numWaiting;
+    }
+    performLoad(now, b, lsid, false, e.depth, loadIsFinal(b, lsid));
 }
 
 void
 LoadStoreQueue::performLoad(Cycle now, Block &b, Lsid lsid,
-                            bool is_resend, std::uint16_t depth)
+                            bool is_resend, std::uint16_t depth,
+                            bool final_now)
 {
     MemEntry &e = b.entries[lsid];
     // Does any byte come from memory (vs pure store forwarding)?
     bool any_from_mem = false;
     Word value = computeLoadValue(b, lsid, &any_from_mem);
-    bool final_now = loadIsFinal(b, lsid);
     bool performed = b.performed & bit(lsid);
     // Commit-wave upgrades carry the same value: the LSQ re-sends it
     // without re-accessing the data cache.
@@ -456,8 +471,13 @@ LoadStoreQueue::performLoad(Cycle now, Block &b, Lsid lsid,
     }
     e.lastValue = value;
     e.lastState = final_now ? ValState::Final : ValState::Spec;
-    if (_spec)
+    if (_spec) {
+        // A Spec reply may fail only the frontier part of the rule,
+        // so the sweep looks at the load again.
         b.spec = final_now ? b.spec & ~bit(lsid) : b.spec | bit(lsid);
+        b.recheck =
+            final_now ? b.recheck & ~bit(lsid) : b.recheck | bit(lsid);
+    }
 
     LoadReply &r = emitReply(
         b, lsid, done, value, e.lastState,
@@ -542,10 +562,17 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
 
     _policy->onStoreResolved(seq, b.blockId, lsid);
 
+    // A resolved store with Spec data fails the data rule of the
+    // loads on its words; once its data is Final they may pass, so
+    // they go back to the sweep (DESIGN.md "Finality frontier").
+    bool data_went_final = had_old && (b.specData & bit(lsid)) &&
+                           e.state == ValState::Final;
     if (e.addrSt == ValState::Final)
         b.specAddr &= ~bit(lsid);
     if (e.state == ValState::Final)
         b.specData &= ~bit(lsid);
+    if (data_went_final)
+        recheckLoadsOn(e.addr, e.bytes);
 
     // A flush-recovery violation may squash this very block: `b` is
     // not used past this point.
@@ -554,7 +581,7 @@ LoadStoreQueue::storeResolve(Cycle now, DynBlockSeq seq, Lsid lsid,
 
     // Re-query loads held back by the policy: the store landscape
     // just changed. Issuing a load only clears its own waiting bit.
-    for (unsigned a = 0; a < _count; ++a) {
+    for (unsigned a = 0; _numWaiting != 0 && a < _ring.size(); ++a) {
         Block &w = at(a);
         for (Mask m = w.waiting; m; m &= m - 1)
             tryIssueLoad(now, w, low(m));
@@ -625,7 +652,8 @@ LoadStoreQueue::storeChanged(Cycle now, const Block &sb, Lsid lsid,
                 } else {
                     ++ld.resends;
                     ++_resends;
-                    performLoad(now, *b, hit.lsid, true, depth);
+                    performLoad(now, *b, hit.lsid, true, depth,
+                                loadIsFinal(*b, hit.lsid));
                 }
             }
         } else {
@@ -648,18 +676,24 @@ LoadStoreQueue::sweepFinality(Cycle now)
         return;
     // The finality frontier: the oldest store that is unresolved or
     // has a Spec address. loadIsFinal fails on it for every younger
-    // load, so the sweep stops there.
+    // load, so the sweep stops there, and holds the address part of
+    // the rule for every older one, so only dataFinal is left.
     unsigned front = 0;
-    while (front < _count && at(front).specAddr == 0)
+    while (front < _ring.size() && at(front).specAddr == 0)
         ++front;
-    Mask front_below = front < _count ? below(low(at(front).specAddr)) : 0;
-    for (unsigned a = 0; a < _count && a <= front; ++a) {
+    Mask front_below =
+        front < _ring.size() ? below(low(at(front).specAddr)) : 0;
+    for (unsigned a = 0; a < _ring.size() && a <= front; ++a) {
         Block &b = at(a);
+        // Only loads some event marked can have turned final.
         // Snapshot: performLoad clears bits as the sweep goes.
-        Mask m = a == front ? b.spec & front_below : b.spec;
+        Mask m = b.spec & b.recheck;
+        if (a == front)
+            m &= front_below;
         for (; m; m &= m - 1) {
             Lsid l = low(m);
-            if (!loadIsFinal(b, l))
+            b.recheck &= ~bit(l);
+            if (!dataFinal(b, l))
                 continue;
             MemEntry &e = b.entries[l];
             Word v = computeLoadValue(b, l);
@@ -669,7 +703,7 @@ LoadStoreQueue::sweepFinality(Cycle now)
                      static_cast<unsigned long long>(b.seq), l);
             ++(v != e.lastValue ? _resends : _upgrades);
             e.deferred = false;
-            performLoad(now, b, l, true, e.depth);
+            performLoad(now, b, l, true, e.depth, true);
         }
     }
 }
@@ -678,7 +712,7 @@ void
 LoadStoreQueue::injectSpuriousWave(Cycle now)
 {
     unsigned spec = 0;
-    for (unsigned a = 0; a < _count; ++a)
+    for (unsigned a = 0; a < _ring.size(); ++a)
         spec += std::popcount(at(a).spec);
     if (spec == 0 || !_chaos->spuriousViolation())
         return;
@@ -725,7 +759,7 @@ LoadStoreQueue::commitBlock(Cycle now, DynBlockSeq seq)
 {
     const Block *b = findBlock(seq);
     panic_if(!b, "commit of unknown seq");
-    panic_if(b != &at(0),
+    panic_if(b != &_ring.oldest(),
              "commit of seq %llu but older blocks are in flight",
              static_cast<unsigned long long>(seq));
     panic_if(!blockMemFinal(seq), "commit of non-final block");
@@ -736,8 +770,7 @@ LoadStoreQueue::commitBlock(Cycle now, DynBlockSeq seq)
         (void)_hier->dataWrite(now, e.addr); // drain occupancy
     }
     unindexBlock(*b);
-    _head = (_head + 1) % _ring.size();
-    --_count;
+    _ring.popOldest();
     if (_check)
         _check->onBlockRetired(seq);
 }
@@ -747,7 +780,7 @@ LoadStoreQueue::debugState() const
 {
     auto fin = [](ValState st) { return st == ValState::Final; };
     std::string out;
-    for (unsigned a = 0; a < _count; ++a) {
+    for (unsigned a = 0; a < _ring.size(); ++a) {
         const Block &b = at(a);
         auto seq = static_cast<unsigned long long>(b.seq);
         Mask loads = b.ops & ~b.stores;
@@ -777,9 +810,12 @@ LoadStoreQueue::debugState() const
 void
 LoadStoreQueue::flushFrom(DynBlockSeq from_seq)
 {
-    while (_count != 0 && at(_count - 1).seq >= from_seq) {
-        unindexBlock(at(_count - 1));
-        --_count;
+    while (!_ring.empty() && _ring.youngest().seq >= from_seq) {
+        const Block &b = _ring.youngest();
+        unindexBlock(b);
+        for (Mask m = b.waiting; m; m &= m - 1)
+            --_numWaiting; // few bits; std::popcount is a libgcc call
+        _ring.popYoung();
     }
     _policy->onFlush(from_seq);
     if (_check)

@@ -37,6 +37,7 @@
 
 #include "chaos/chaos.hh"
 #include "chaos/invariants.hh"
+#include "common/frame_ring.hh"
 #include "common/stats.hh"
 #include "isa/block.hh"
 #include "mem/hierarchy.hh"
@@ -198,7 +199,7 @@ class LoadStoreQueue
     std::vector<Violation> &flushRequests() { return _flushRequests; }
 
     /** In-flight blocks currently tracked (for asserts/tests). */
-    std::size_t numBlocks() const { return _count; }
+    std::size_t numBlocks() const { return _ring.size(); }
 
     /** Total violations detected so far. */
     std::uint64_t violations() const { return _violations.value(); }
@@ -260,6 +261,14 @@ class LoadStoreQueue
         Mask specData = 0;   ///< DSRE: stores without Final data
         Mask performed = 0;  ///< loads that have replied
         Mask spec = 0;       ///< DSRE: performed, reply still Spec
+        /**
+         * DSRE: Spec loads the sweep must examine. A Spec load behind
+         * the finality frontier without its bit fails dataFinal.
+         * performLoad sets a bit when it leaves a load Spec, a store
+         * whose data turns Final sets the bits of the loads on its
+         * words, and the sweep clears each bit it examines.
+         */
+        Mask recheck = 0;
         Mask waiting = 0;    ///< loads held back by the policy
         std::array<MemEntry, isa::kMaxBlockMemOps> entries;
     };
@@ -277,27 +286,43 @@ class LoadStoreQueue
     static Lsid low(Mask m) { return Lsid(std::countr_zero(m)); }
 
     /** The block `age` places from the oldest (0 = oldest). */
-    Block &at(unsigned age) const
-    {
-        return _ring[(_head + age) % _ring.size()];
-    }
+    Block &at(unsigned age) const { return _ring.at(age); }
     /** The in-flight block with this seq, or null (flushed). */
-    Block *findBlock(DynBlockSeq seq) const;
+    Block *findBlock(DynBlockSeq seq) const { return _ring.find(seq); }
     /** Program-order key: block age, then LSID (until a pop). */
     std::uint32_t ageKey(const Block &b, Lsid lsid) const
     {
-        auto slot = static_cast<unsigned>(&b - _ring.data());
-        return std::uint32_t((slot + _ring.size() - _head) % _ring.size())
-                   << 5 | lsid;
+        return std::uint32_t(_ring.ageOf(b)) << 5 | lsid;
+    }
+    /** The same key for an address-index id (ring slot << 5 | LSID). */
+    std::uint32_t idKey(std::uint16_t id) const
+    {
+        return std::uint32_t(_ring.ageOfSlot(id >> 5)) << 5 | (id & 31);
     }
 
-    /** Call f on the index bucket of each word [addr, +bytes) touches. */
+    std::uint32_t bucketOf(Addr word) const
+    {
+        return static_cast<std::uint32_t>((word ^ (word >> 12)) & _indexMask);
+    }
+    /** Words [addr, +bytes) touches beyond the first (0 or 1). */
+    static unsigned straddles(Addr addr, unsigned bytes)
+    {
+        return (addr & 7) + bytes > 8;
+    }
+    /**
+     * Call f(id) for each op id indexed on the buckets of the words
+     * [addr, +bytes) touches. An op on both words, or two words
+     * sharing a bucket, repeats.
+     */
     template <typename F>
-    void forBuckets(Addr addr, unsigned bytes, F &&f) const
+    void forIds(Addr addr, unsigned bytes, F &&f) const
     {
         Addr word = addr >> 3;
-        for (Addr w = word; w <= word + ((addr & 7) + bytes > 8); ++w)
-            f(_index[(w ^ (w >> 12)) & _indexMask]);
+        for (Addr w = word; w <= word + straddles(addr, bytes); ++w) {
+            for (std::uint32_t n = _bucketHead[bucketOf(w)]; n != kNil;
+                 n = _links[n].next)
+                f(static_cast<std::uint16_t>(n >> 1));
+        }
     }
     /** Add / remove an op's words in the address index. */
     void index(const Block &b, Lsid lsid, bool add);
@@ -314,15 +339,24 @@ class LoadStoreQueue
 
     /** True when every byte can come only from final sources. */
     bool loadIsFinal(const Block &b, Lsid lsid) const;
+    /**
+     * The part of loadIsFinal that does not depend on the frontier:
+     * the load's address is Final and no older resolved store on its
+     * range has Spec data.
+     */
+    bool dataFinal(const Block &b, Lsid lsid) const;
+    /** Mark the Spec loads on [addr, +bytes)'s words for the sweep. */
+    void recheckLoadsOn(Addr addr, unsigned bytes);
 
     /** Older unresolved stores (policy query input), viewed in place. */
     pred::OlderStores olderStores(const Block &b, Lsid lsid) const;
 
     /** Try to issue a load now (policy permitting); send the reply. */
     void tryIssueLoad(Cycle now, Block &b, Lsid lsid);
-    /** Actually perform the load and send (or re-send) its reply. */
+    /** Actually perform the load and send (or re-send) its reply;
+     *  `final_now` is loadIsFinal(b, lsid). */
     void performLoad(Cycle now, Block &b, Lsid lsid, bool is_resend,
-                     std::uint16_t depth);
+                     std::uint16_t depth, bool final_now);
 
     /** A store changed: find the younger performed loads it hits. */
     void storeChanged(Cycle now, const Block &sb, Lsid lsid,
@@ -349,11 +383,24 @@ class LoadStoreQueue
     chaos::ChaosEngine *_chaos;
     chaos::InvariantChecker *_check;
 
-    mutable std::vector<Block> _ring; ///< num_frames blocks
-    unsigned _head = 0;               ///< ring slot of the oldest
-    unsigned _count = 0;              ///< blocks in flight
-    /** Word-address buckets of op ids (ring slot << 5 | LSID). */
-    mutable std::vector<std::vector<std::uint16_t>> _index;
+    mutable FrameRing<Block> _ring; ///< num_frames blocks
+    unsigned _numWaiting = 0;       ///< set bits of every waiting mask
+    /**
+     * The word-address index: hashed word buckets, each the head of
+     * an intrusive doubly linked list of link nodes. An op id (ring
+     * slot << 5 | LSID) owns two nodes, id << 1 | k for the k-th word
+     * its range touches, preallocated for the whole window, so
+     * indexing never allocates.
+     */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint32_t kUnlinked = kNil - 1;
+    struct Link
+    {
+        std::uint32_t prev = kUnlinked;
+        std::uint32_t next = kUnlinked;
+    };
+    std::vector<std::uint32_t> _bucketHead;
+    std::vector<Link> _links;
     Addr _indexMask = 0;
 
     std::vector<LoadReply> _replies;

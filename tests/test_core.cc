@@ -646,6 +646,178 @@ TEST_F(RegUnitTest, OutOfOrderCommitPanics)
     EXPECT_PANIC(unit->commitBlock(2), "out of order");
 }
 
+/** A unit over a small ring: the head wraps every few commits. */
+class RegRingTest : public RegUnitTest
+{
+  protected:
+    static constexpr unsigned kFrames = 4;
+
+    RegRingTest()
+    {
+        params.numFrames = kFrames;
+        unit = std::make_unique<RegUnit>(params, init, stats);
+    }
+
+    /** The unit's outbox; the fixture's reference was to the old unit. */
+    std::vector<RegForward> &out() { return unit->forwards(); }
+};
+
+TEST_F(RegRingTest, ReadsResolveAcrossTheWrap)
+{
+    // Blocks alternate writer (reads and writes r3) and reader (reads
+    // r3, writes r4). Each r3 read takes the youngest older in-flight
+    // writer, skipping readers, or the committed file; each write
+    // value reaches exactly the readers mapped after it up to and
+    // including the next writer.
+    struct Live
+    {
+        DynBlockSeq seq;
+        bool isWriter;
+    };
+    std::vector<Live> live;
+    Word arch3 = 333;
+    DynBlockSeq next = 1;
+    for (unsigned round = 0; round < 6 * kFrames; ++round) {
+        while (live.size() < kFrames) {
+            bool is_writer = next % 2 == 1;
+            out().clear();
+            unit->mapBlock(0, next, is_writer ? writer() : reader());
+            bool older_writer = std::any_of(
+                live.begin(), live.end(),
+                [](const Live &l) { return l.isWriter; });
+            if (!older_writer) {
+                ASSERT_EQ(out().size(), 1u) << "seq " << next;
+                EXPECT_EQ(out()[0].value, arch3);
+                EXPECT_EQ(out()[0].state, ValState::Final);
+            } else {
+                EXPECT_TRUE(out().empty()) << "seq " << next;
+            }
+            live.push_back({next, is_writer});
+            ++next;
+        }
+        // Deliver the oldest block's write and commit it.
+        Live oldest = live.front();
+        Word v = 1000 + oldest.seq;
+        out().clear();
+        unit->writeArrived(1, oldest.seq, 0, v, ValState::Final, 1, 0);
+        std::vector<DynBlockSeq> want;
+        if (oldest.isWriter) {
+            for (std::size_t i = 1; i < live.size(); ++i) {
+                want.push_back(live[i].seq);
+                if (live[i].isWriter)
+                    break;
+            }
+        }
+        std::vector<DynBlockSeq> got;
+        for (const RegForward &f : out()) {
+            got.push_back(f.readerSeq);
+            EXPECT_EQ(f.value, v);
+            EXPECT_EQ(f.reg, 3u);
+        }
+        EXPECT_EQ(got, want) << "round " << round;
+        ASSERT_TRUE(unit->blockWritesFinal(oldest.seq, true));
+        unit->commitBlock(oldest.seq);
+        if (oldest.isWriter)
+            arch3 = v;
+        EXPECT_EQ(unit->archRegs()[oldest.isWriter ? 3 : 4], v);
+        live.erase(live.begin());
+    }
+    EXPECT_GT(next, 5 * kFrames); // the head wrapped several times
+}
+
+TEST_F(RegRingTest, FlushAcrossTheWrapKeepsOlderSubscriptions)
+{
+    // Move the head to the ring's last slot.
+    for (DynBlockSeq s = 1; s < kFrames; ++s) {
+        unit->mapBlock(0, s, reader());
+        unit->writeArrived(0, s, 0, s, ValState::Final, 1, 0);
+        unit->commitBlock(s);
+    }
+    // Writer 10 in the last slot, readers 11-13 wrap to slots 0-2.
+    unit->mapBlock(0, 10, writer());
+    for (DynBlockSeq s = 11; s <= 13; ++s)
+        unit->mapBlock(0, s, reader());
+    unit->flushFrom(12);
+    EXPECT_EQ(unit->numBlocks(), 2u);
+    out().clear();
+    unit->writeArrived(5, 10, 0, 77, ValState::Spec, 1, 0);
+    ASSERT_EQ(out().size(), 1u); // 12 and 13 unsubscribed
+    EXPECT_EQ(out()[0].readerSeq, 11u);
+    // A refetched reader reuses a squashed frame and subscribes anew,
+    // getting the value already there.
+    out().clear();
+    unit->mapBlock(6, 20, reader());
+    ASSERT_EQ(out().size(), 1u);
+    EXPECT_EQ(out()[0].readerSeq, 20u);
+    EXPECT_EQ(out()[0].value, 77u);
+    out().clear();
+    unit->writeArrived(7, 10, 0, 77, ValState::Final, 2, 0);
+    std::vector<DynBlockSeq> got;
+    for (const RegForward &f : out()) {
+        got.push_back(f.readerSeq);
+        EXPECT_TRUE(f.statusOnly);
+    }
+    EXPECT_EQ(got, (std::vector<DynBlockSeq>{11, 20}));
+}
+
+TEST_F(RegRingTest, WriteCountsSurviveDuplicateStaleAndStatusOnlyWaves)
+{
+    compiler::ProgramBuilder pb("two");
+    auto &b = pb.newBlock("two-writes");
+    compiler::Val x = b.readReg(3);
+    b.writeReg(3, b.addi(x, 1));
+    b.writeReg(5, b.addi(x, 2));
+    b.branchHalt();
+    isa::Program two = pb.build();
+    unit->mapBlock(0, 1, two.block(0));
+    unit->mapBlock(0, 2, reader()); // subscribes to write 0 (r3)
+    auto writes_final = [&] { return unit->blockWritesFinal(1, true); };
+    auto writes_seen = [&] { return unit->blockWritesFinal(1, false); };
+
+    unit->writeArrived(1, 1, 0, 10, ValState::Spec, 1, 0);
+    EXPECT_FALSE(writes_seen());
+    unit->writeArrived(2, 1, 0, 10, ValState::Spec, 2, 0); // duplicate
+    unit->writeArrived(2, 1, 0, 99, ValState::Final, 1, 0); // stale
+    EXPECT_FALSE(writes_seen());
+    unit->writeArrived(3, 1, 1, 20, ValState::Final, 1, 0);
+    EXPECT_TRUE(writes_seen());
+    EXPECT_FALSE(writes_final());
+    // Write 1 repeats Final: a duplicate must not count twice.
+    unit->writeArrived(4, 1, 1, 20, ValState::Final, 2, 0);
+    unit->writeArrived(4, 1, 1, 20, ValState::Spec, 3, 0);
+    EXPECT_FALSE(writes_final());
+    // Write 0 changes value (a new Spec wave), then upgrades with a
+    // status-only wave.
+    out().clear();
+    unit->writeArrived(5, 1, 0, 11, ValState::Spec, 3, 0);
+    EXPECT_FALSE(writes_final());
+    unit->writeArrived(6, 1, 0, 11, ValState::Final, 4, 0);
+    EXPECT_TRUE(writes_final());
+    ASSERT_EQ(out().size(), 2u);
+    EXPECT_FALSE(out()[0].statusOnly);
+    EXPECT_TRUE(out()[1].statusOnly);
+    unit->writeArrived(7, 1, 0, 11, ValState::Final, 5, 0);
+    EXPECT_TRUE(writes_final());
+    unit->commitBlock(1);
+    EXPECT_EQ(unit->archRegs()[3], 11u);
+    EXPECT_EQ(unit->archRegs()[5], 20u);
+
+    // A frame reused by a block with one write starts its counts over.
+    unit->mapBlock(0, 3, writer());
+    EXPECT_FALSE(unit->blockWritesFinal(3, false));
+}
+
+TEST_F(RegRingTest, MappingIntoAFullRingPanics)
+{
+    for (DynBlockSeq s = 1; s <= kFrames; ++s)
+        unit->mapBlock(0, s, writer());
+    EXPECT_PANIC(unit->mapBlock(0, kFrames + 1, writer()),
+                 "register window full");
+    EXPECT_PANIC(unit->mapBlock(0, kFrames, writer()), "register window full");
+    unit->flushFrom(kFrames);
+    EXPECT_PANIC(unit->mapBlock(0, 2, writer()), "out of order");
+}
+
 // ---------------------------------------------------------------------------
 // Processor-level integration.
 // ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@
  * plus the flat storage itself: ring reuse across sequence gaps,
  * flushes in the middle of a violation's hit list, accesses straddling
  * two index words, the finality frontier, and program-order queries.
+ * A seeded differential test checks every reply of random store and
+ * load streams against a from-scratch restatement of the finality
+ * rule and the reply logic.
  */
 
 #include <gtest/gtest.h>
 
 #include "panic_check.hh"
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "compiler/builder.hh"
 #include "lsq/lsq.hh"
@@ -574,6 +578,378 @@ TEST(LsqOrder, OlderUnresolvedIsInProgramOrderAcrossBlocks)
         got.emplace_back(u.seq, u.lsid);
     want = {{5, 1}, {6, 0}, {6, 2}};
     EXPECT_EQ(got, want);
+}
+
+// ---------------------------------------------------------------------------
+// The commit wave against a from-scratch reference.
+// ---------------------------------------------------------------------------
+
+/**
+ * The LSQ's reply logic under DSRE with a blind policy, restated over
+ * a plain list of in-flight blocks: no address index, no masks, no
+ * frontier, no incremental state. A load is final when its address
+ * is Final, every older store is resolved with a Final address and
+ * every older store overlapping it has Final data.
+ */
+class RefWindow
+{
+  public:
+    struct Op
+    {
+        bool store = false;
+        unsigned bytes = 8;
+        bool known = false; ///< store resolved / load address arrived
+        Addr addr = 0;
+        Word data = 0;
+        bool addrFinal = false;
+        bool dataFinal = false; ///< stores
+        // Loads.
+        bool performed = false;
+        Word lastValue = 0;
+        bool lastFinal = false;
+        unsigned resends = 0;
+        bool deferred = false;
+    };
+    struct Blk
+    {
+        DynBlockSeq seq = 0;
+        std::vector<Op> ops;
+    };
+    /** (seq, LSID, value, Final?) of one reply. */
+    using Reply = std::tuple<DynBlockSeq, Lsid, Word, bool>;
+
+    RefWindow(const mem::SparseMemory &memory, unsigned budget)
+        : _mem(memory), _budget(budget)
+    {
+    }
+
+    std::vector<Blk> blocks;
+
+    static bool
+    overlap(Addr a, unsigned n, Addr b, unsigned m)
+    {
+        return a < b + m && b < a + n;
+    }
+
+    /** Memory, then every older resolved store, oldest first. */
+    Word
+    value(std::size_t bi, Lsid l) const
+    {
+        const Op &ld = blocks[bi].ops[l];
+        Word v = _mem.read(ld.addr, ld.bytes);
+        forOlderStores(bi, l, [&](const Op &st) {
+            if (!st.known)
+                return;
+            for (unsigned i = 0; i < ld.bytes; ++i) {
+                Addr a = ld.addr + i;
+                if (a < st.addr || a >= st.addr + st.bytes)
+                    continue;
+                Word byte = (st.data >> (8 * (a - st.addr))) & 0xff;
+                v = (v & ~(Word{0xff} << (8 * i))) | byte << (8 * i);
+            }
+        });
+        return v;
+    }
+
+    bool
+    isFinal(std::size_t bi, Lsid l) const
+    {
+        const Op &ld = blocks[bi].ops[l];
+        bool fin = ld.addrFinal;
+        forOlderStores(bi, l, [&](const Op &st) {
+            fin = fin && st.known && st.addrFinal &&
+                  (st.dataFinal ||
+                   !overlap(st.addr, st.bytes, ld.addr, ld.bytes));
+        });
+        return fin;
+    }
+
+    /** Send (or resend) the load's current value and finality. */
+    void
+    perform(std::size_t bi, Lsid l, std::vector<Reply> &out)
+    {
+        Op &ld = blocks[bi].ops[l];
+        ld.performed = true;
+        ld.lastValue = value(bi, l);
+        ld.lastFinal = isFinal(bi, l);
+        out.emplace_back(blocks[bi].seq, l, ld.lastValue, ld.lastFinal);
+    }
+
+    void
+    loadRequest(std::size_t bi, Lsid l, Addr addr, bool addr_final,
+                std::vector<Reply> &out)
+    {
+        Op &ld = blocks[bi].ops[l];
+        bool changed = ld.known && ld.addr != addr;
+        ld.known = true;
+        ld.addr = addr;
+        ld.addrFinal = addr_final || (!changed && ld.addrFinal);
+        if (!ld.performed) {
+            perform(bi, l, out);
+            return;
+        }
+        Word v = value(bi, l);
+        bool fin = isFinal(bi, l);
+        if (v != ld.lastValue) {
+            if (fin) {
+                ld.deferred = false;
+            } else if (_budget != 0 && ld.resends >= _budget) {
+                ld.deferred = true;
+                return;
+            } else {
+                ++ld.resends;
+            }
+            perform(bi, l, out);
+        } else if (fin && !ld.lastFinal) {
+            ld.deferred = false;
+            perform(bi, l, out);
+        }
+    }
+
+    void
+    storeResolve(std::size_t bi, Lsid l, Addr addr, Word data,
+                 bool addr_final, bool data_final, std::vector<Reply> &out)
+    {
+        Op &st = blocks[bi].ops[l];
+        bool had_old = st.known;
+        Addr old_addr = st.addr;
+        bool addr_changed = had_old && st.addr != addr;
+        bool data_changed = had_old && st.data != data;
+        bool improved = (addr_final && !st.addrFinal) ||
+                        (data_final && !st.dataFinal);
+        if (had_old && !addr_changed && !data_changed && !improved)
+            return; // pure duplicate: no replies, no sweep
+        st.known = true;
+        st.addr = addr;
+        st.data = data;
+        st.addrFinal = addr_final || (!addr_changed && had_old && st.addrFinal);
+        st.dataFinal = data_final || (!data_changed && had_old && st.dataFinal);
+
+        // Younger performed loads on the old or new range whose value
+        // changed are re-sent, oldest first.
+        if (!had_old || addr_changed || data_changed) {
+            forYoungerLoads(bi, l, [&](std::size_t lb, Lsid ll, Op &ld) {
+                bool on = overlap(addr, st.bytes, ld.addr, ld.bytes) ||
+                          (had_old &&
+                           overlap(old_addr, st.bytes, ld.addr, ld.bytes));
+                if (!on || value(lb, ll) == ld.lastValue)
+                    return;
+                if (_budget != 0 && ld.resends >= _budget) {
+                    ld.deferred = true;
+                    return;
+                }
+                ++ld.resends;
+                perform(lb, ll, out);
+            });
+        }
+        // The commit wave: every Spec load now final, oldest first.
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+            for (Lsid i = 0; i < blocks[b].ops.size(); ++i) {
+                Op &ld = blocks[b].ops[i];
+                if (ld.store || !ld.performed || ld.lastFinal ||
+                    !isFinal(b, i))
+                    continue;
+                ld.deferred = false;
+                perform(b, i, out);
+            }
+        }
+    }
+
+    bool
+    oldestDone() const
+    {
+        for (const Op &op : blocks.front().ops) {
+            if (op.store ? !(op.known && op.addrFinal && op.dataFinal)
+                         : !(op.performed && op.lastFinal))
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    template <typename F>
+    void
+    forOlderStores(std::size_t bi, Lsid l, F &&f) const
+    {
+        for (std::size_t b = 0; b <= bi; ++b) {
+            std::size_t end = b == bi ? l : blocks[b].ops.size();
+            for (std::size_t i = 0; i < end; ++i)
+                if (blocks[b].ops[i].store)
+                    f(blocks[b].ops[i]);
+        }
+    }
+
+    template <typename F>
+    void
+    forYoungerLoads(std::size_t bi, Lsid l, F &&f)
+    {
+        for (std::size_t b = bi; b < blocks.size(); ++b) {
+            for (Lsid i = b == bi ? l + 1 : 0; i < blocks[b].ops.size();
+                 ++i) {
+                Op &op = blocks[b].ops[i];
+                if (!op.store && op.performed)
+                    f(b, i, op);
+            }
+        }
+    }
+
+    const mem::SparseMemory &_mem;
+    unsigned _budget;
+};
+
+/** What one stream exercised. */
+struct StreamCounts
+{
+    std::uint64_t commits = 0;
+    std::uint64_t flushes = 0;
+    std::uint64_t deferrals = 0;
+};
+
+/** Seeded store/load/commit/flush streams; `check` sees each event's
+ *  replies next to the reference's. */
+template <typename Check>
+StreamCounts
+runFinalityStream(std::uint64_t seed, unsigned events, Check &&check)
+{
+    StreamCounts counts;
+    StatSet stats("t");
+    mem::SparseMemory memory;
+    mem::Hierarchy hier(mem::HierarchyParams{}, stats);
+    auto policy =
+        pred::makeDependencePredictor(pred::DepPolicy::Blind, nullptr, stats);
+    LsqParams params;
+    constexpr unsigned kWindow = 4; // small, so the ring wraps often
+    LoadStoreQueue lsq(params, &hier, &memory, policy.get(), stats,
+                       kWindow);
+    RefWindow ref(memory, params.maxResendsPerLoad);
+
+    // Two block shapes; 4-byte steps make 8-byte accesses straddle.
+    compiler::ProgramBuilder pb("t");
+    auto &a = pb.newBlock("ld-st-ld-st-ld");
+    compiler::Val ra = a.readReg(1);
+    compiler::Val x = a.load(ra, 8);
+    a.store(ra, x, 8);
+    compiler::Val y = a.load(ra, 4, 4);
+    a.store(ra, y, 4, 8);
+    a.writeReg(2, a.load(ra, 8, 16));
+    a.branchHalt();
+    auto &b = pb.newBlock("st-ld-st-ld");
+    compiler::Val rb = b.readReg(1);
+    b.store(rb, rb, 8);
+    compiler::Val z = b.load(rb, 8);
+    b.store(rb, z, 4, 8);
+    b.writeReg(2, b.load(rb, 4, 12));
+    b.branchHalt();
+    isa::Program prog = pb.build();
+    std::vector<std::vector<RefWindow::Op>> shapes;
+    for (BlockId id = 0; id < 2; ++id) {
+        std::vector<RefWindow::Op> ops;
+        for (const isa::Instruction &in : prog.block(id).insts()) {
+            const isa::OpInfo &info = isa::opInfo(in.op);
+            if (!info.isLoad && !info.isStore)
+                continue;
+            if (ops.size() <= in.lsid)
+                ops.resize(in.lsid + 1);
+            ops[in.lsid].store = info.isStore;
+            ops[in.lsid].bytes = info.accessBytes;
+        }
+        shapes.push_back(ops);
+    }
+    for (Addr w = 0; w < 12; ++w)
+        memory.write(0x1000 + 8 * w, 8, 0x0101010101010101ull * (w + 1));
+
+    Rng rng(seed);
+    DynBlockSeq next_seq = 1;
+    std::uint32_t wave = 0;
+    Cycle now = 0;
+    std::vector<LoadReply> &out = lsq.replies();
+    for (unsigned ev = 0; ev < events; ++ev) {
+        ++now;
+        std::vector<RefWindow::Reply> want;
+        auto &blocks = ref.blocks;
+        unsigned pick = rng.below(100);
+        if (blocks.empty() || (blocks.size() < kWindow && pick < 15)) {
+            BlockId id = rng.below(2);
+            lsq.mapBlock(next_seq, next_seq, id, prog.block(id));
+            blocks.push_back({next_seq, shapes[id]});
+            next_seq += 1 + (rng.below(4) == 0); // gaps, as after flushes
+        } else if (pick >= 15 && pick < 17 && blocks.size() > 1) {
+            std::size_t keep = 1 + rng.below(blocks.size() - 1);
+            lsq.flushFrom(blocks[keep].seq);
+            blocks.resize(keep);
+            ++counts.flushes;
+        } else if (pick < 40 && ref.oldestDone()) {
+            EXPECT_TRUE(lsq.blockMemFinal(blocks.front().seq));
+            lsq.commitBlock(now, blocks.front().seq);
+            blocks.erase(blocks.begin());
+            ++counts.commits;
+        } else {
+            std::size_t bi = rng.below(blocks.size());
+            auto l = static_cast<Lsid>(rng.below(blocks[bi].ops.size()));
+            RefWindow::Op &op = blocks[bi].ops[l];
+            // A Final address or Final data never changes.
+            Addr addr = op.known && op.addrFinal
+                            ? op.addr
+                            : 0x1000 + 4 * rng.below(20);
+            bool addr_final = op.addrFinal || rng.below(3) == 0;
+            if (op.store) {
+                Word data = op.known && op.dataFinal ? op.data
+                                                     : rng.below(4) << 8;
+                bool data_final = op.dataFinal || rng.below(3) == 0;
+                lsq.storeResolve(now, blocks[bi].seq, l, addr, data,
+                                 addr_final ? ValState::Final
+                                            : ValState::Spec,
+                                 data_final ? ValState::Final
+                                            : ValState::Spec,
+                                 ++wave, 0);
+                ref.storeResolve(bi, l, addr, data, addr_final, data_final,
+                                 want);
+            } else {
+                lsq.loadRequest(now, blocks[bi].seq, l, addr,
+                                addr_final ? ValState::Final
+                                           : ValState::Spec,
+                                ++wave, 0);
+                ref.loadRequest(bi, l, addr, addr_final, want);
+            }
+        }
+        std::vector<RefWindow::Reply> got;
+        for (const LoadReply &r : out)
+            got.emplace_back(r.seq, r.lsid, r.value,
+                             r.state == ValState::Final);
+        out.clear();
+        check(ev, got, want);
+        if (::testing::Test::HasFatalFailure())
+            break;
+    }
+    counts.deferrals = stats.counterValue("lsq.deferrals");
+    return counts;
+}
+
+TEST(LsqFinality, RepliesMatchAFromScratchReference)
+{
+    std::uint64_t replies = 0, finals = 0;
+    StreamCounts all;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        StreamCounts c = runFinalityStream(
+            seed, 3000, [&](unsigned ev, const auto &got, const auto &want) {
+                ASSERT_EQ(got, want) << "seed " << seed << " event " << ev;
+                for (const RefWindow::Reply &r : want)
+                    finals += std::get<3>(r);
+                replies += want.size();
+            });
+        if (HasFatalFailure())
+            return;
+        all.commits += c.commits;
+        all.flushes += c.flushes;
+        all.deferrals += c.deferrals;
+    }
+    // The streams exercise the whole wave: many replies, many of them
+    // Final, deferred resends, and a ring that wraps and flushes.
+    EXPECT_GT(replies, 10000u);
+    EXPECT_GT(finals, 2000u);
+    EXPECT_GT(all.commits, 1000u);
+    EXPECT_GT(all.flushes, 100u);
+    EXPECT_GT(all.deferrals, 100u);
 }
 
 } // namespace
